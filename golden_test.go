@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/report"
+	"repro/internal/synth"
 	"repro/internal/workloads"
 )
 
@@ -116,6 +117,47 @@ func TestGoldenText(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), buf.Bytes())
+		})
+	}
+}
+
+// synthGoldenCases are the report variants pinned for a synthetic
+// 2000-routine profile: large enough for four-digit indices, wide
+// call-count columns, several cycles, spontaneous arcs and
+// called+self entries, which the workload programs are too small to
+// reach. Each is the -brief report under one display option.
+var synthGoldenCases = []struct {
+	name string
+	opt  report.Options
+}{
+	{"synth-2000", report.Options{NoHeaders: true}},
+	{"synth-2000-exclude", report.Options{NoHeaders: true, Exclude: []string{"main", "syn_000002", "syn_000768"}}},
+	{"synth-2000-focus", report.Options{NoHeaders: true, Focus: []string{"syn_000084", "syn_00075d"}}},
+	{"synth-2000-m", report.Options{NoHeaders: true, MinPercent: 0.5}},
+}
+
+// TestGoldenSynth pins the synthetic variants and checks that every
+// -jobs width renders the same bytes.
+func TestGoldenSynth(t *testing.T) {
+	for _, tc := range synthGoldenCases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			for _, jobs := range []int{1, 4, 13} {
+				w := synth.Generate(synth.Tier(2000, 1))
+				res, err := core.Run(context.Background(), core.ImageSource{Image: w.Image()}, w.Prof,
+					core.Options{Jobs: jobs, Report: tc.opt})
+				if err != nil {
+					t.Fatalf("jobs %d: %v", jobs, err)
+				}
+				var buf bytes.Buffer
+				if err := res.WriteAll(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if jobs > 1 && *update {
+					continue
+				}
+				checkGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), buf.Bytes())
+			}
 		})
 	}
 }
