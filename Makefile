@@ -71,11 +71,13 @@ golden:
 	go test -run 'TestGolden' -update .
 
 # Short fuzzing pass over the two binary decoders (profile data and
-# executables): corrupt input must error, never panic.
+# executables), where corrupt input must error, never panic, and over
+# the report's number formatter, which must match strconv byte for byte.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
 	go test -run xxx -fuzz 'FuzzReadImage$$' -fuzztime 20s ./internal/object
+	go test -run xxx -fuzz 'FuzzAppendFixed$$' -fuzztime 20s ./internal/report
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
 # replay the workload corpus from concurrent agents via gprofload, and

@@ -479,3 +479,21 @@ func (b *Reader) Close() error {
 	}
 	return b.err
 }
+
+// Grow extends s by n elements for a decoder filling a slice whose
+// final length, total, a file header declared. Capacity grows to
+// max(len(s)+n, 2*cap(s)), capped at total, so filling a slice costs
+// time linear in its length. Decoders call Grow with n at most one
+// read chunk ahead of the data actually decoded, so a header lying
+// about total makes them allocate no more than twice what the body
+// really held plus one chunk.
+func Grow[T any](s []T, n, total int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s[:need]
+	}
+	c := max(need, min(2*cap(s), total))
+	grown := make([]T, need, c)
+	copy(grown, s)
+	return grown
+}

@@ -79,8 +79,9 @@ const (
 const maxRecords = 1 << 28
 
 // chunkRecords is the record-batch granularity for decoding: result
-// slices grow at most this many records past the data actually seen, so
-// a header lying about its counts cannot over-allocate.
+// slices grow (binio.Grow) at most this many records ahead of the data
+// actually seen, so a header lying about its counts cannot
+// over-allocate.
 const chunkRecords = 8192
 
 // Header is everything in a profile data file except the record
@@ -497,7 +498,7 @@ func (d *Reader) ReadCounts(dst []uint32) ([]uint32, error) {
 			c = chunkRecords
 		}
 		start := len(dst)
-		dst = growU32(dst, c)
+		dst = binio.Grow(dst, c, n)
 		if d.h.Version == Version1 {
 			d.br.U32s(dst[start:])
 		} else {
@@ -825,7 +826,7 @@ func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 			c = chunkRecords
 		}
 		start := len(arcs)
-		arcs = growArcs(arcs, c)
+		arcs = binio.Grow(arcs, c, h.NumArcs)
 		n, err := d.ReadArcs(arcs[start:])
 		if err != nil {
 			return d.Stats(), err
@@ -845,7 +846,7 @@ func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 			c = chunkRecords
 		}
 		start := len(stacks)
-		stacks = growStacks(stacks, c)
+		stacks = binio.Grow(stacks, c, h.NumStacks)
 		n, err := d.ReadStacks(stacks[start:])
 		if err != nil {
 			return d.Stats(), err
@@ -854,39 +855,6 @@ func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 	}
 	p.Stacks = stacks
 	return d.Stats(), p.Validate()
-}
-
-// growU32 extends s by c entries, reusing capacity when it can.
-func growU32(s []uint32, c int) []uint32 {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]uint32, need)
-	copy(ns, s)
-	return ns
-}
-
-// growArcs extends s by c entries, reusing capacity when it can.
-func growArcs(s []Arc, c int) []Arc {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]Arc, need)
-	copy(ns, s)
-	return ns
-}
-
-// growStacks extends s by c entries, reusing capacity when it can.
-func growStacks(s []StackSample, c int) []StackSample {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]StackSample, need)
-	copy(ns, s)
-	return ns
 }
 
 // WriteFile writes p to the named file in the default format. The block

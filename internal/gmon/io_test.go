@@ -433,3 +433,39 @@ func TestWriteV2LeavesInputAlone(t *testing.T) {
 		t.Errorf("WriteV2 mutated the caller's arcs: %v", p.Arcs)
 	}
 }
+
+// TestDecodeLinearGrowth: decoding four times the records costs at
+// most about five times as much. The cost measured is the bytes the
+// decoder allocates, which is what its result slices copy as they
+// grow: a deterministic stand-in for time on a shared host, where a
+// fixed growth step makes it quadratic in the record count.
+func TestDecodeLinearGrowth(t *testing.T) {
+	encode := func(n, version int) []byte {
+		p := &Profile{Hist: Histogram{Low: 0, High: int64(n), Step: 1, Counts: make([]uint32, n)}}
+		for i := 0; i < n; i++ {
+			p.Hist.Counts[i] = uint32(i % 7)
+			p.Arcs = append(p.Arcs, Arc{FromPC: int64(i), SelfPC: int64(i+1) % int64(n), Count: 1})
+		}
+		var buf bytes.Buffer
+		if err := WriteVersion(&buf, p, version); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, version := range []int{Version1, Version2} {
+		cost := func(n int) uint64 {
+			data := encode(n, version)
+			return testingAllocs(func() {
+				if _, err := Read(bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const n = 1 << 16
+		small, large := cost(n), cost(4*n)
+		if float64(large) > 5*float64(small) {
+			t.Errorf("v%d: decoding %d records allocated %d bytes, %d records %d bytes (%.1fx)",
+				version, 4*n, large, n, small, float64(large)/float64(small))
+		}
+	}
+}

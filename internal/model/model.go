@@ -69,8 +69,9 @@ type Profile struct {
 	// it the encoding is byte-identical to the v1 schema.
 	Stacks *StackView `json:"stacks,omitempty"`
 
-	// Derived lookup tables; see Reindex.
-	byName   map[string]*Routine
+	// Derived lookup tables; see Reindex. byName holds positions in
+	// Routines.
+	byName   map[string]int
 	byNumber map[int]*Cycle
 }
 
@@ -191,11 +192,21 @@ func (p *Profile) Percent(ticks float64) float64 {
 // built lazily by Build and Decode; a Profile assembled by hand can
 // call Reindex to (re)build it.
 func (p *Profile) Routine(name string) (*Routine, bool) {
+	i, ok := p.RoutineIndex(name)
+	if !ok {
+		return nil, false
+	}
+	return &p.Routines[i], true
+}
+
+// RoutineIndex returns the named routine's position in Routines, the
+// key renderers index their per-routine arrays by.
+func (p *Profile) RoutineIndex(name string) (int, bool) {
 	if p.byName == nil {
 		p.Reindex()
 	}
-	r, ok := p.byName[name]
-	return r, ok
+	i, ok := p.byName[name]
+	return i, ok
 }
 
 // CycleByNumber returns the numbered cycle, if present.
@@ -213,9 +224,9 @@ func (p *Profile) CycleByNumber(n int) (*Cycle, bool) {
 // Reindex rebuilds the derived lookup tables after direct mutation of
 // Routines or Cycles.
 func (p *Profile) Reindex() {
-	p.byName = make(map[string]*Routine, len(p.Routines))
+	p.byName = make(map[string]int, len(p.Routines))
 	for i := range p.Routines {
-		p.byName[p.Routines[i].Name] = &p.Routines[i]
+		p.byName[p.Routines[i].Name] = i
 	}
 	p.byNumber = make(map[int]*Cycle, len(p.Cycles))
 	for i := range p.Cycles {

@@ -144,12 +144,7 @@ func readWords(br *binio.Reader, n int) ([]int64, error) {
 			c = chunkImageWords
 		}
 		start := len(out)
-		if cap(out) < start+c {
-			grown := make([]int64, start, start+c)
-			copy(grown, out)
-			out = grown
-		}
-		out = out[:start+c]
+		out = binio.Grow(out, c, n)
 		br.I64s(out[start:])
 		if err := br.Err(); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,5 +160,33 @@ func TestImageRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadImageLinearGrowth: decoding four times the text words costs
+// at most about five times as much, measured as bytes allocated (what
+// the growing word slices copy; deterministic where wall time is not).
+func TestReadImageLinearGrowth(t *testing.T) {
+	cost := func(n int) uint64 {
+		im := &Image{Text: make([]isa.Word, n), Data: make([]isa.Word, n)}
+		var buf bytes.Buffer
+		if err := WriteImage(&buf, im); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadImage(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const n = 1 << 16
+	small, large := cost(n), cost(4*n)
+	if float64(large) > 5*float64(small) {
+		t.Errorf("decoding %d words allocated %d bytes, %d words %d bytes (%.1fx)",
+			4*n, large, n, small, float64(large)/float64(small))
 	}
 }

@@ -23,7 +23,6 @@ package propagate
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -352,8 +351,8 @@ func runLevels(ctx context.Context, g *callgraph.Graph, jobs int) error {
 	}
 
 	// The level schedule is the interesting scheduling fact about the
-	// parallel pipeline: publish it, and record one span per level so a
-	// Chrome trace shows how the DAG's depth serializes the run.
+	// parallel pipeline: publish its shape as gauges. Levels get no span
+	// of their own, so trace size does not grow with the DAG's depth.
 	tr := obs.FromContext(ctx)
 	tr.Gauge("propagate.levels").Set(int64(maxDepth) + 1)
 	tr.Gauge("propagate.units").Set(int64(nu))
@@ -364,10 +363,6 @@ func runLevels(ctx context.Context, g *callgraph.Graph, jobs int) error {
 			return err
 		}
 		level := levelUnits[levelHead[depth]:levelHead[depth+1]]
-		var endLevel func()
-		if tr != nil {
-			endLevel = tr.Span(fmt.Sprintf("propagate.L%d", depth))
-		}
 		// Narrow levels (deep chains degenerate to width 1) run inline:
 		// spawning goroutines per unit would dominate the work.
 		if workers := min(jobs, len(level)); workers > 1 && len(level) >= 2*workers {
@@ -401,9 +396,6 @@ func runLevels(ctx context.Context, g *callgraph.Graph, jobs int) error {
 			for _, ui := range level {
 				s.apply(ui)
 			}
-		}
-		if endLevel != nil {
-			endLevel()
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,67 +22,64 @@ import (
 // (never-traversed) arcs are dashed; intra-cycle arcs are drawn inside a
 // cluster per cycle. Options' Focus/MinPercent/Exclude filters apply.
 func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
-	v := newView(m)
-	f := opt.compile(v)
+	v, err := newView(m)
+	if err != nil {
+		return err
+	}
+	f := v.compile(&opt)
 
 	fmt.Fprintln(w, "digraph callgraph {")
 	fmt.Fprintln(w, `  rankdir=TB;`)
 	fmt.Fprintln(w, `  node [shape=box, style=filled, fontname="monospace"];`)
 
 	// Stable node order.
-	names := make([]string, 0, len(m.Routines))
-	kept := make(map[string]bool)
+	order := make([]int32, len(m.Routines))
+	kept := make([]bool, len(m.Routines))
 	for i := range m.Routines {
-		r := &m.Routines[i]
-		names = append(names, r.Name)
-		if wantNode(v, r, opt, f) {
-			kept[r.Name] = true
-		}
+		order[i] = int32(i)
+		kept[i] = wantNode(v, int32(i), opt, f)
 	}
-	sort.Strings(names)
+	sort.Slice(order, func(i, j int) bool { return m.Routines[order[i]].Name < m.Routines[order[j]].Name })
 
 	// Cycle clusters first, then free nodes.
-	emitted := make(map[string]bool)
+	emitted := make([]bool, len(m.Routines))
 	for i := range m.Cycles {
 		c := &m.Cycles[i]
-		any := false
-		for _, name := range c.Members {
-			if kept[name] {
-				any = true
-			}
-		}
-		if !any {
+		members := v.members[i]
+		if !slices.ContainsFunc(members, func(p int32) bool { return kept[p] }) {
 			continue
 		}
 		fmt.Fprintf(w, "  subgraph cluster_%d {\n", c.Number)
 		fmt.Fprintf(w, "    label=\"cycle %d\";\n    style=dashed;\n", c.Number)
-		for _, name := range c.Members {
-			if kept[name] {
-				emitNode(w, v, v.routine(name), "    ")
-				emitted[name] = true
+		for _, p := range members {
+			if kept[p] {
+				emitNode(w, m, &m.Routines[p], "    ")
+				emitted[p] = true
 			}
 		}
 		fmt.Fprintln(w, "  }")
 	}
-	for _, name := range names {
-		if kept[name] && !emitted[name] {
-			emitNode(w, v, v.routine(name), "  ")
+	for _, p := range order {
+		if kept[p] && !emitted[p] {
+			emitNode(w, m, &m.Routines[p], "  ")
 		}
 	}
 
 	// Edges between kept nodes, in (caller, callee) order.
-	arcs := make([]*model.Arc, 0, len(m.Arcs))
-	for i := range m.Arcs {
-		arcs = append(arcs, &m.Arcs[i])
+	arcs := make([]int32, len(m.Arcs))
+	for i := range arcs {
+		arcs[i] = int32(i)
 	}
 	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].From != arcs[j].From {
-			return arcs[i].From < arcs[j].From
+		ai, aj := &m.Arcs[arcs[i]], &m.Arcs[arcs[j]]
+		if ai.From != aj.From {
+			return ai.From < aj.From
 		}
-		return arcs[i].To < arcs[j].To
+		return ai.To < aj.To
 	})
-	for _, a := range arcs {
-		if a.Spontaneous() || !kept[a.To] || !kept[a.From] {
+	for _, i := range arcs {
+		a := &m.Arcs[i]
+		if v.from[i] < 0 || !kept[v.to[i]] || !kept[v.from[i]] {
 			continue
 		}
 		attrs := []string{fmt.Sprintf("label=\"%d\"", a.Count)}
@@ -101,15 +99,15 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 	return nil
 }
 
-func emitNode(w io.Writer, v *view, r *model.Routine, indent string) {
-	pct := v.m.Percent(r.TotalTicks())
+func emitNode(w io.Writer, m *model.Profile, r *model.Routine, indent string) {
+	pct := m.Percent(r.TotalTicks())
 	// White through a warm tone as the node gets hotter.
 	shade := int(255 - 1.6*pct)
 	if shade < 96 {
 		shade = 96
 	}
 	label := fmt.Sprintf("%s\\n%.2fs self / %.2fs total\\n%d calls",
-		r.Name, v.m.Seconds(r.SelfTicks), v.m.Seconds(r.TotalTicks()),
+		r.Name, m.Seconds(r.SelfTicks), m.Seconds(r.TotalTicks()),
 		r.Calls+r.SelfCalls)
 	fmt.Fprintf(w, "%s%q [label=\"%s\", fillcolor=\"#ff%02x%02x\"];\n",
 		indent, r.Name, label, shade, shade)

@@ -1,9 +1,11 @@
 package report
 
 import (
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -19,14 +21,13 @@ import (
 // recomputed here over the rows that survive filtering, so a -E or
 // minimum-percent view still reconciles internally.
 func Flat(w io.Writer, m *model.Profile, opt Options) error {
-	v := newView(m)
-	f := opt.compile(v)
+	exclude := opt.excludeSet()
+	o := newOut(w)
 
-	totalSecs := m.Seconds(m.TotalTicks)
 	if !opt.NoHeaders {
-		fmt.Fprintf(w, "flat profile:\n\n")
-		fmt.Fprintf(w, "  %%         cumulative    self                self    total\n")
-		fmt.Fprintf(w, " time        seconds    seconds     calls  ms/call  ms/call name\n")
+		o.str("flat profile:\n\n" +
+			"  %         cumulative    self                self    total\n" +
+			" time        seconds    seconds     calls  ms/call  ms/call name\n")
 	}
 	var cum float64
 	for i := range m.Flat {
@@ -34,44 +35,58 @@ func Flat(w io.Writer, m *model.Profile, opt Options) error {
 		if opt.MinPercent > 0 && r.Percent < opt.MinPercent {
 			continue
 		}
-		if f.excluded(r.Name) {
+		if exclude[r.Name] {
 			continue
 		}
 		cum += r.SelfSeconds
-		selfPer, totalPer := "", ""
+		o.fixed(r.Percent, 1, 5)
+		o.b = append(o.b, ' ')
+		o.fixed(cum, 2, 14)
+		o.b = append(o.b, ' ')
+		o.fixed(r.SelfSeconds, 2, 10)
+		o.b = append(o.b, ' ')
+		o.int(r.Calls, 9)
+		o.b = append(o.b, ' ')
 		if r.Calls > 0 {
-			selfPer = fmt.Sprintf("%8.2f", r.SelfSeconds*1000/float64(r.Calls))
-			if r.Cycle == 0 {
-				totalPer = fmt.Sprintf("%8.2f", r.TotalMsPerCall)
-			}
+			o.fixed(r.SelfSeconds*1000/float64(r.Calls), 2, 8)
+		} else {
+			o.pad(8)
 		}
-		fmt.Fprintf(w, "%5.1f %14.2f %10.2f %9d %8s %8s %s\n",
-			r.Percent, cum, r.SelfSeconds, r.Calls, selfPer, totalPer, flatLabel(r))
+		o.b = append(o.b, ' ')
+		if r.Calls > 0 && r.Cycle == 0 {
+			o.fixed(r.TotalMsPerCall, 2, 8)
+		} else {
+			o.pad(8)
+		}
+		o.b = append(o.b, ' ')
+		o.label(r.Name, r.Cycle)
+		o.nl()
 	}
 	if m.LostTicks > 0 {
-		fmt.Fprintf(w, "%5.1f %14.2f %10.2f %9s %8s %8s %s\n",
-			m.Percent(m.LostTicks), cum+m.Seconds(m.LostTicks), m.Seconds(m.LostTicks),
-			"", "", "", "<outside any routine>")
+		o.fixed(m.Percent(m.LostTicks), 1, 5)
+		o.b = append(o.b, ' ')
+		o.fixed(cum+m.Seconds(m.LostTicks), 2, 14)
+		o.b = append(o.b, ' ')
+		o.fixed(m.Seconds(m.LostTicks), 2, 10)
+		o.pad(1 + 9 + 1 + 8 + 1 + 8 + 1)
+		o.str("<outside any routine>")
+		o.nl()
 	}
 	if !opt.NoHeaders {
-		fmt.Fprintf(w, "\ntotal: %.2f seconds\n", totalSecs)
+		o.str("\ntotal: ")
+		o.b = appendFixed(o.b, m.Seconds(m.TotalTicks), 2)
+		o.str(" seconds\n")
 	}
 
 	if len(m.NeverCalled) > 0 {
-		fmt.Fprintf(w, "\nroutines never called during this execution:\n")
+		o.str("\nroutines never called during this execution:\n")
 		for _, name := range m.NeverCalled {
-			fmt.Fprintf(w, "    %s\n", name)
+			o.str("    ")
+			o.str(name)
+			o.nl()
 		}
 	}
-	return nil
-}
-
-// flatLabel renders a flat row's name with its cycle tag.
-func flatLabel(r *model.FlatRow) string {
-	if r.Cycle != 0 {
-		return fmt.Sprintf("%s <cycle%d>", r.Name, r.Cycle)
-	}
-	return r.Name
+	return o.flush()
 }
 
 // IndexListing renders the alphabetical index gprof appends: each
@@ -82,23 +97,39 @@ func IndexListing(w io.Writer, m *model.Profile) error {
 		name string
 		idx  int
 	}
-	var items []item
+	items := make([]item, 0, len(m.Routines)+len(m.Cycles))
+	var tag []byte
 	for i := range m.Routines {
 		r := &m.Routines[i]
-		if r.Index > 0 {
-			items = append(items, item{label(r), r.Index})
+		if r.Index <= 0 {
+			continue
 		}
+		name := r.Name
+		if r.Cycle != 0 {
+			tag = append(tag[:0], name...)
+			tag = append(tag, " <cycle"...)
+			tag = strconv.AppendInt(tag, int64(r.Cycle), 10)
+			name = string(append(tag, '>'))
+		}
+		items = append(items, item{name, r.Index})
 	}
 	for i := range m.Cycles {
 		c := &m.Cycles[i]
 		if c.Index > 0 {
-			items = append(items, item{fmt.Sprintf("<cycle %d>", c.Number), c.Index})
+			items = append(items, item{"<cycle " + strconv.Itoa(c.Number) + ">", c.Index})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
-	fmt.Fprintf(w, "index by function name:\n\n")
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.idx, b.idx))
+	})
+	o := newOut(w)
+	o.str("index by function name:\n\n")
 	for _, it := range items {
-		fmt.Fprintf(w, "  [%d] %s\n", it.idx, it.name)
+		o.str(" ")
+		o.index(it.idx)
+		o.b = append(o.b, ' ')
+		o.str(it.name)
+		o.nl()
 	}
-	return nil
+	return o.flush()
 }

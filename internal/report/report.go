@@ -30,9 +30,11 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/model"
@@ -61,114 +63,181 @@ type Options struct {
 // instead of rescanning the option slices at every node of the walk.
 type filter struct {
 	exclude map[string]bool
-	// focus is nil when no focus is requested; otherwise the focused
-	// routines plus their direct parents and children.
-	focus map[string]bool
+	// focus is nil when no focus is requested; otherwise it marks, by
+	// routine position, the focused routines plus their direct parents
+	// and children.
+	focus []bool
+}
+
+// excludeSet compiles the -E list.
+func (o *Options) excludeSet() map[string]bool {
+	if len(o.Exclude) == 0 {
+		return nil
+	}
+	set := make(map[string]bool, len(o.Exclude))
+	for _, name := range o.Exclude {
+		set[name] = true
+	}
+	return set
 }
 
 // compile precomputes the option sets against a profile view.
-func (o *Options) compile(v *view) filter {
-	var f filter
-	if len(o.Exclude) > 0 {
-		f.exclude = make(map[string]bool, len(o.Exclude))
-		for _, name := range o.Exclude {
-			f.exclude[name] = true
-		}
-	}
+func (v *view) compile(o *Options) filter {
+	f := filter{exclude: o.excludeSet()}
 	if len(o.Focus) > 0 {
-		f.focus = make(map[string]bool)
+		f.focus = make([]bool, len(v.m.Routines))
 		for _, name := range o.Focus {
-			if _, ok := v.m.Routine(name); !ok {
+			p, ok := v.m.RoutineIndex(name)
+			if !ok {
 				continue
 			}
-			f.focus[name] = true
-			for _, a := range v.in[name] {
-				if !a.Spontaneous() {
-					f.focus[a.From] = true
+			f.focus[p] = true
+			for _, a := range v.inArcs(int32(p)) {
+				if from := v.from[a]; from >= 0 {
+					f.focus[from] = true
 				}
 			}
-			for _, a := range v.out[name] {
-				f.focus[a.To] = true
+			for _, a := range v.outArcs(int32(p)) {
+				f.focus[v.to[a]] = true
 			}
 		}
 	}
 	return f
 }
 
-// excluded reports whether a routine is display-suppressed.
-func (f *filter) excluded(name string) bool { return f.exclude[name] }
-
-// view is the per-render index over a profile: adjacency lists in the
-// model's arc order and the listing in index order.
+// view is the per-render index over a profile. Routines are named by
+// their position in m.Routines and arcs by theirs in m.Arcs: every arc
+// endpoint is resolved once, so the walk itself never hashes a name.
 type view struct {
 	m *model.Profile
-	// in and out are each routine's incoming and outgoing arcs,
-	// pointing into m.Arcs. in preserves the model's per-callee arc
+	// from and to are each arc's endpoint positions; from is -1 for a
+	// spontaneous arc.
+	from, to []int32
+	// Routine r's incoming arcs are in[inOff[r]:inOff[r+1]] and its
+	// outgoing ones out[outOff[r]:outOff[r+1]], both in the model's arc
 	// order, which the cycle entries' tie-breaking depends on.
-	in, out map[string][]*model.Arc
-	// listing holds the call-graph entries in index order: for each
-	// slot exactly one of routine/cycle is non-nil.
+	inOff, in   []int32
+	outOff, out []int32
+	// members holds each cycle's member positions, parallel to m.Cycles.
+	members [][]int32
+	// listing holds the call-graph entries in index order.
 	listing []listEntry
+	// parents and children are scratch lists reused across entries.
+	parents, children []int32
 }
 
+// listEntry is one listing slot: a position in m.Cycles when cycle is
+// not -1, else one in m.Routines, or -1 twice for an unclaimed slot.
 type listEntry struct {
-	routine *model.Routine
-	cycle   *model.Cycle
+	routine int32
+	cycle   int32
 }
 
-func newView(m *model.Profile) *view {
+func newView(m *model.Profile) (*view, error) {
+	n := len(m.Routines)
 	v := &view{
-		m:   m,
-		in:  make(map[string][]*model.Arc),
-		out: make(map[string][]*model.Arc),
+		m:      m,
+		from:   make([]int32, len(m.Arcs)),
+		to:     make([]int32, len(m.Arcs)),
+		inOff:  make([]int32, n+1),
+		outOff: make([]int32, n+1),
 	}
+	resolve := func(name string) (int32, error) {
+		p, ok := m.RoutineIndex(name)
+		if !ok {
+			return 0, fmt.Errorf("report: %q is not a routine", name)
+		}
+		return int32(p), nil
+	}
+	nout := 0
 	for i := range m.Arcs {
 		a := &m.Arcs[i]
-		v.in[a.To] = append(v.in[a.To], a)
-		if a.From != "" {
-			v.out[a.From] = append(v.out[a.From], a)
+		to, err := resolve(a.To)
+		if err != nil {
+			return nil, err
+		}
+		from := int32(-1)
+		if !a.Spontaneous() {
+			if from, err = resolve(a.From); err != nil {
+				return nil, err
+			}
+			v.outOff[from+1]++
+			nout++
+		}
+		v.from[i], v.to[i] = from, to
+		v.inOff[to+1]++
+	}
+	for r := 0; r < n; r++ {
+		v.inOff[r+1] += v.inOff[r]
+		v.outOff[r+1] += v.outOff[r]
+	}
+	v.in = make([]int32, len(m.Arcs))
+	v.out = make([]int32, nout)
+	next := make([]int32, 2*n)
+	nextIn, nextOut := next[:n], next[n:]
+	copy(nextIn, v.inOff)
+	copy(nextOut, v.outOff)
+	for i := range m.Arcs {
+		to := v.to[i]
+		v.in[nextIn[to]] = int32(i)
+		nextIn[to]++
+		if from := v.from[i]; from >= 0 {
+			v.out[nextOut[from]] = int32(i)
+			nextOut[from]++
 		}
 	}
-	max := 0
-	for i := range m.Routines {
-		if m.Routines[i].Index > max {
-			max = m.Routines[i].Index
+
+	v.members = make([][]int32, len(m.Cycles))
+	for i := range m.Cycles {
+		for _, name := range m.Cycles[i].Members {
+			p, err := resolve(name)
+			if err != nil {
+				return nil, err
+			}
+			v.members[i] = append(v.members[i], p)
 		}
+	}
+
+	slots := 0
+	for i := range m.Routines {
+		slots = max(slots, m.Routines[i].Index)
 	}
 	for i := range m.Cycles {
-		if m.Cycles[i].Index > max {
-			max = m.Cycles[i].Index
-		}
+		slots = max(slots, m.Cycles[i].Index)
 	}
-	v.listing = make([]listEntry, max)
+	v.listing = make([]listEntry, slots)
+	for i := range v.listing {
+		v.listing[i] = listEntry{routine: -1, cycle: -1}
+	}
 	for i := range m.Routines {
 		if idx := m.Routines[i].Index; idx > 0 {
-			v.listing[idx-1].routine = &m.Routines[i]
+			v.listing[idx-1].routine = int32(i)
 		}
 	}
 	for i := range m.Cycles {
 		if idx := m.Cycles[i].Index; idx > 0 {
-			v.listing[idx-1].cycle = &m.Cycles[i]
+			v.listing[idx-1].cycle = int32(i)
 		}
 	}
-	return v
+	return v, nil
 }
 
-// routine resolves a name; the model guarantees arc endpoints resolve.
-func (v *view) routine(name string) *model.Routine {
-	r, _ := v.m.Routine(name)
-	return r
-}
+func (v *view) inArcs(r int32) []int32  { return v.in[v.inOff[r]:v.inOff[r+1]] }
+func (v *view) outArcs(r int32) []int32 { return v.out[v.outOff[r]:v.outOff[r+1]] }
 
-// intraCycle reports whether both arc endpoints are members of the
-// same multi-routine cycle. Such arcs are listed in the profile but
+// self reports whether arc a is self-recursive.
+func (v *view) self(a int32) bool { return v.from[a] == v.to[a] }
+
+// intraCycle reports whether both endpoints of arc a are members of
+// the same multi-routine cycle. Such arcs are listed in the profile but
 // "do not propagate any time" (§4).
-func (v *view) intraCycle(a *model.Arc) bool {
-	if a.From == "" {
+func (v *view) intraCycle(a int32) bool {
+	from := v.from[a]
+	if from < 0 {
 		return false
 	}
-	from, to := v.routine(a.From), v.routine(a.To)
-	return from != nil && to != nil && from.Cycle != 0 && from.Cycle == to.Cycle
+	c := v.m.Routines[from].Cycle
+	return c != 0 && c == v.m.Routines[v.to[a]].Cycle
 }
 
 // totalCalls is the calls/total denominator for a routine: calls into
@@ -182,56 +251,52 @@ func (v *view) totalCalls(r *model.Routine) int64 {
 	return r.Calls
 }
 
-// label renders a routine name with its cycle tag, e.g. "SUB1 <cycle1>".
-func label(r *model.Routine) string {
-	if r.Cycle != 0 {
-		return fmt.Sprintf("%s <cycle%d>", r.Name, r.Cycle)
-	}
-	return r.Name
-}
-
 // CallGraph renders the call graph profile from the model.
 func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
-	v := newView(m)
-	f := opt.compile(v)
+	v, err := newView(m)
+	if err != nil {
+		return err
+	}
+	f := v.compile(&opt)
+	o := newOut(w)
 
-	totalSecs := m.Seconds(m.TotalTicks)
 	if !opt.NoHeaders {
-		fmt.Fprintf(w, "call graph profile:\n")
-		fmt.Fprintf(w, "granularity: each sample hit covers 1 word for %.2f%% of %.2f seconds\n\n",
-			percentPerTick(m), totalSecs)
-		fmt.Fprintf(w, "                                  called/total       parents\n")
-		fmt.Fprintf(w, "index  %%time    self descendants  called+self    name           index\n")
-		fmt.Fprintf(w, "                                  called/total       children\n\n")
+		o.str("call graph profile:\ngranularity: each sample hit covers 1 word for ")
+		o.b = appendFixed(o.b, percentPerTick(m), 2)
+		o.str("% of ")
+		o.b = appendFixed(o.b, m.Seconds(m.TotalTicks), 2)
+		o.str(" seconds\n\n" +
+			"                                  called/total       parents\n" +
+			"index  %time    self descendants  called+self    name           index\n" +
+			"                                  called/total       children\n\n")
 	}
 
 	rule := strings.Repeat("-", 72)
 	printed := 0
 	for _, e := range v.listing {
-		if e.cycle != nil {
+		switch {
+		case e.cycle >= 0:
 			if !wantCycle(v, e.cycle, opt, f) {
 				continue
 			}
-			if printed > 0 {
-				fmt.Fprintln(w, rule)
-			}
-			printCycleEntry(w, v, e.cycle)
-			printed++
-			continue
-		}
-		if e.routine == nil || !wantNode(v, e.routine, opt, f) {
+		case e.routine < 0 || !wantNode(v, e.routine, opt, f):
 			continue
 		}
 		if printed > 0 {
-			fmt.Fprintln(w, rule)
+			o.str(rule)
+			o.nl()
 		}
-		printNodeEntry(w, v, e.routine)
+		if e.cycle >= 0 {
+			printCycleEntry(o, v, e.cycle)
+		} else {
+			printNodeEntry(o, v, e.routine)
+		}
 		printed++
 	}
 	if printed == 0 {
-		fmt.Fprintln(w, "no entries selected")
+		o.str("no entries selected\n")
 	}
-	return nil
+	return o.flush()
 }
 
 func percentPerTick(m *model.Profile) float64 {
@@ -241,14 +306,15 @@ func percentPerTick(m *model.Profile) float64 {
 	return 100 / m.TotalTicks
 }
 
-func wantNode(v *view, r *model.Routine, opt Options, f filter) bool {
+func wantNode(v *view, p int32, opt Options, f filter) bool {
+	r := &v.m.Routines[p]
 	if r.TotalTicks() == 0 && r.Calls == 0 && r.SelfCalls == 0 {
 		return false // never touched; lives in the flat profile's never-called list
 	}
-	if f.excluded(r.Name) {
+	if f.exclude[r.Name] {
 		return false
 	}
-	if f.focus != nil && !f.focus[r.Name] {
+	if f.focus != nil && !f.focus[p] {
 		return false
 	}
 	if opt.MinPercent > 0 && v.m.Percent(r.TotalTicks()) < opt.MinPercent {
@@ -257,172 +323,214 @@ func wantNode(v *view, r *model.Routine, opt Options, f filter) bool {
 	return true
 }
 
-func wantCycle(v *view, c *model.Cycle, opt Options, f filter) bool {
-	if f.focus != nil {
-		any := false
-		for _, m := range c.Members {
-			if f.focus[m] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
+func wantCycle(v *view, ci int32, opt Options, f filter) bool {
+	if f.focus != nil && !slices.ContainsFunc(v.members[ci], func(p int32) bool { return f.focus[p] }) {
+		return false
 	}
-	if opt.MinPercent > 0 && v.m.Percent(c.TotalTicks()) < opt.MinPercent {
+	if opt.MinPercent > 0 && v.m.Percent(v.m.Cycles[ci].TotalTicks()) < opt.MinPercent {
 		return false
 	}
 	return true
+}
+
+// arcTicks is the time arc a propagates, the listing's sort key.
+func (v *view) arcTicks(a int32) float64 {
+	arc := &v.m.Arcs[a]
+	return arc.PropSelfTicks + arc.PropChildTicks
 }
 
 // sortParents orders arcs ascending by contribution (the paper's
 // Figure 4 order), ties by caller name; spontaneous arcs sort first
 // among ties. The sort is stable, so arcs that tie completely keep the
 // model's order — which is the historic n.In walk order.
-func sortParents(parents []*model.Arc) {
-	sort.SliceStable(parents, func(i, j int) bool {
-		ti := parents[i].PropSelfTicks + parents[i].PropChildTicks
-		tj := parents[j].PropSelfTicks + parents[j].PropChildTicks
-		if ti != tj {
-			return ti < tj
+func (v *view) sortParents(parents []int32) {
+	slices.SortStableFunc(parents, func(i, j int32) int {
+		if ti, tj := v.arcTicks(i), v.arcTicks(j); ti != tj {
+			if ti < tj {
+				return -1
+			}
+			return 1
 		}
-		return parents[i].From < parents[j].From
+		return strings.Compare(v.m.Arcs[i].From, v.m.Arcs[j].From)
 	})
+}
+
+// sortChildren orders arcs descending by the time each child passes
+// up, ties by callee name.
+func (v *view) sortChildren(children []int32) {
+	slices.SortStableFunc(children, func(i, j int32) int {
+		if ti, tj := v.arcTicks(i), v.arcTicks(j); ti != tj {
+			if ti > tj {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(v.m.Arcs[i].To, v.m.Arcs[j].To)
+	})
+}
+
+// arcLine renders one parent or child line of an entry: the time arc a
+// propagates and its calls out of total, naming routine p.
+func (o *out) arcLine(v *view, a int32, total int64, p int32) {
+	arc := &v.m.Arcs[a]
+	r := &v.m.Routines[p]
+	o.pad(14)
+	o.fixed(v.m.Seconds(arc.PropSelfTicks), 2, 8)
+	o.b = append(o.b, ' ')
+	o.fixed(v.m.Seconds(arc.PropChildTicks), 2, 11)
+	o.b = append(o.b, ' ')
+	o.int(arc.Count, 7)
+	o.b = append(o.b, '/')
+	o.intLeft(total, 7)
+	o.b = append(o.b, ' ')
+	o.label(r.Name, r.Cycle)
+	o.index(r.Index)
+	o.nl()
+}
+
+// intraLine renders a call from within a cycle: listed with its bare
+// count, never propagated.
+func (o *out) intraLine(v *view, a int32, p int32) {
+	r := &v.m.Routines[p]
+	o.pad(14 + 8 + 1 + 11 + 1)
+	o.int(v.m.Arcs[a].Count, 9)
+	o.str("     ")
+	o.label(r.Name, r.Cycle)
+	o.index(r.Index)
+	o.nl()
+}
+
+// entryHead renders the columns an entry's own line starts with:
+// index, %time, self, descendants.
+func (o *out) entryHead(m *model.Profile, index int, selfTicks, childTicks float64) {
+	start := len(o.b)
+	o.b = append(o.b, '[')
+	o.b = strconv.AppendInt(o.b, int64(index), 10)
+	o.b = append(o.b, ']')
+	o.pad(6 - (len(o.b) - start))
+	o.b = append(o.b, ' ')
+	o.fixed(m.Percent(selfTicks+childTicks), 1, 5)
+	o.b = append(o.b, ' ')
+	o.fixed(m.Seconds(selfTicks), 2, 8)
+	o.b = append(o.b, ' ')
+	o.fixed(m.Seconds(childTicks), 2, 11)
+	o.b = append(o.b, ' ')
 }
 
 // printNodeEntry renders one routine's entry: parents, the self line,
 // then children.
-func printNodeEntry(w io.Writer, v *view, r *model.Routine) {
+func printNodeEntry(o *out, v *view, p int32) {
 	m := v.m
-	var parents []*model.Arc
-	for _, a := range v.in[r.Name] {
-		if !a.Self() {
+	r := &m.Routines[p]
+	parents := v.parents[:0]
+	for _, a := range v.inArcs(p) {
+		if !v.self(a) {
 			parents = append(parents, a)
 		}
 	}
-	sortParents(parents)
+	v.sortParents(parents)
 	// Total calls for the x/y column: calls into this routine, or into
 	// the whole cycle when the routine is a member.
 	totalCalls := v.totalCalls(r)
 	for _, a := range parents {
-		if a.Spontaneous() {
-			fmt.Fprintf(w, "%45s<spontaneous>\n", "")
-			continue
+		switch from := v.from[a]; {
+		case from < 0:
+			o.pad(45)
+			o.str("<spontaneous>")
+			o.nl()
+		case v.intraCycle(a):
+			o.intraLine(v, a, from)
+		default:
+			o.arcLine(v, a, totalCalls, from)
 		}
-		caller := v.routine(a.From)
-		if v.intraCycle(a) {
-			// Calls from within the cycle: listed, never propagated.
-			fmt.Fprintf(w, "%14s%8s %11s %9d %s%s [%d]\n",
-				"", "", "", a.Count, "    ", label(caller), caller.Index)
-			continue
-		}
-		fmt.Fprintf(w, "%14s%8.2f %11.2f %7d/%-7d %s [%d]\n",
-			"",
-			m.Seconds(a.PropSelfTicks), m.Seconds(a.PropChildTicks),
-			a.Count, totalCalls,
-			label(caller), caller.Index)
 	}
+	v.parents = parents
 
-	// The self line: index, %time, self, descendants, called+self.
-	called := fmt.Sprintf("%d", r.Calls)
-	if r.SelfCalls > 0 {
-		called = fmt.Sprintf("%d+%d", r.Calls, r.SelfCalls)
-	}
-	fmt.Fprintf(w, "%-6s %5.1f %8.2f %11.2f %15s %s [%d]\n",
-		fmt.Sprintf("[%d]", r.Index),
-		m.Percent(r.TotalTicks()),
-		m.Seconds(r.SelfTicks), m.Seconds(r.ChildTicks),
-		called, label(r), r.Index)
+	o.entryHead(m, r.Index, r.SelfTicks, r.ChildTicks)
+	o.called(r.Calls, r.SelfCalls, 15)
+	o.b = append(o.b, ' ')
+	o.label(r.Name, r.Cycle)
+	o.index(r.Index)
+	o.nl()
 
-	// Children, descending by time passed up.
-	var children []*model.Arc
-	for _, a := range v.out[r.Name] {
-		if !a.Self() {
+	children := v.children[:0]
+	for _, a := range v.outArcs(p) {
+		if !v.self(a) {
 			children = append(children, a)
 		}
 	}
-	sort.SliceStable(children, func(i, j int) bool {
-		ti := children[i].PropSelfTicks + children[i].PropChildTicks
-		tj := children[j].PropSelfTicks + children[j].PropChildTicks
-		if ti != tj {
-			return ti > tj
-		}
-		return children[i].To < children[j].To
-	})
+	v.sortChildren(children)
 	for _, a := range children {
-		child := v.routine(a.To)
+		to := v.to[a]
 		if v.intraCycle(a) {
-			fmt.Fprintf(w, "%14s%8s %11s %9d %s%s [%d]\n",
-				"", "", "", a.Count, "    ", label(child), child.Index)
+			o.intraLine(v, a, to)
 			continue
 		}
 		// Denominator: calls into the child (or its whole cycle).
-		fmt.Fprintf(w, "%14s%8.2f %11.2f %7d/%-7d %s [%d]\n",
-			"",
-			m.Seconds(a.PropSelfTicks), m.Seconds(a.PropChildTicks),
-			a.Count, v.totalCalls(child),
-			label(child), child.Index)
+		o.arcLine(v, a, v.totalCalls(&m.Routines[to]), to)
 	}
+	v.children = children
 }
 
 // printCycleEntry renders a cycle-as-a-whole entry: external parents,
 // the cycle line, then the members "listed in place of the children"
 // with their calls from within the cycle.
-func printCycleEntry(w io.Writer, v *view, c *model.Cycle) {
+func printCycleEntry(o *out, v *view, ci int32) {
 	m := v.m
-	var parents []*model.Arc
-	for _, name := range c.Members {
-		for _, a := range v.in[name] {
-			if !v.intraCycle(a) && !a.Self() {
+	c := &m.Cycles[ci]
+	parents := v.parents[:0]
+	for _, p := range v.members[ci] {
+		for _, a := range v.inArcs(p) {
+			if !v.intraCycle(a) && !v.self(a) {
 				parents = append(parents, a)
 			}
 		}
 	}
-	sortParents(parents)
+	v.sortParents(parents)
 	ext := c.ExternalCalls
 	for _, a := range parents {
-		if a.Spontaneous() {
-			fmt.Fprintf(w, "%45s<spontaneous>\n", "")
-			continue
+		if from := v.from[a]; from < 0 {
+			o.pad(45)
+			o.str("<spontaneous>")
+			o.nl()
+		} else {
+			o.arcLine(v, a, ext, from)
 		}
-		caller := v.routine(a.From)
-		fmt.Fprintf(w, "%14s%8.2f %11.2f %7d/%-7d %s [%d]\n",
-			"",
-			m.Seconds(a.PropSelfTicks), m.Seconds(a.PropChildTicks),
-			a.Count, ext,
-			label(caller), caller.Index)
 	}
-	called := fmt.Sprintf("%d", ext)
-	if c.InternalCalls > 0 {
-		called = fmt.Sprintf("%d+%d", ext, c.InternalCalls)
-	}
-	fmt.Fprintf(w, "%-6s %5.1f %8.2f %11.2f %15s <cycle %d as a whole> [%d]\n",
-		fmt.Sprintf("[%d]", c.Index),
-		m.Percent(c.TotalTicks()),
-		m.Seconds(c.SelfTicks), m.Seconds(c.ChildTicks),
-		called, c.Number, c.Index)
+	v.parents = parents
+
+	o.entryHead(m, c.Index, c.SelfTicks, c.ChildTicks)
+	o.called(ext, c.InternalCalls, 15)
+	o.str(" <cycle ")
+	o.b = strconv.AppendInt(o.b, int64(c.Number), 10)
+	o.str(" as a whole>")
+	o.index(c.Index)
+	o.nl()
+
 	// Members with their calls from within the cycle (incoming intra
 	// arcs plus self calls), in index order — the indices were assigned
 	// by decreasing self time, so this reproduces the historic member
 	// order.
-	members := make([]*model.Routine, 0, len(c.Members))
-	for _, name := range c.Members {
-		members = append(members, v.routine(name))
-	}
-	sort.SliceStable(members, func(i, j int) bool { return members[i].Index < members[j].Index })
-	for _, r := range members {
+	members := append(v.children[:0], v.members[ci]...)
+	slices.SortStableFunc(members, func(i, j int32) int {
+		return cmp.Compare(m.Routines[i].Index, m.Routines[j].Index)
+	})
+	for _, p := range members {
+		r := &m.Routines[p]
 		var intra int64
-		for _, a := range v.in[r.Name] {
-			if v.intraCycle(a) && !a.Self() {
-				intra += a.Count
+		for _, a := range v.inArcs(p) {
+			if v.intraCycle(a) && !v.self(a) {
+				intra += m.Arcs[a].Count
 			}
 		}
-		called := fmt.Sprintf("%d", intra)
-		if r.SelfCalls > 0 {
-			called = fmt.Sprintf("%d+%d", intra, r.SelfCalls)
-		}
-		fmt.Fprintf(w, "%14s%8.2f %11.2f %15s %s [%d]\n",
-			"", m.Seconds(r.SelfTicks), 0.0, called, label(r), r.Index)
+		o.pad(14)
+		o.fixed(m.Seconds(r.SelfTicks), 2, 8)
+		o.str("        0.00 ")
+		o.called(intra, r.SelfCalls, 15)
+		o.b = append(o.b, ' ')
+		o.label(r.Name, r.Cycle)
+		o.index(r.Index)
+		o.nl()
 	}
+	v.children = members
 }

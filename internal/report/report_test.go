@@ -499,3 +499,22 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("excluded node present in DOT")
 	}
 }
+
+// TestUnresolvedArcIsError: a hand-built model whose arc names no
+// routine is reported as an error by every view-based renderer, not a
+// panic.
+func TestUnresolvedArcIsError(t *testing.T) {
+	m := &model.Profile{
+		Schema:   model.Schema,
+		Hz:       1,
+		Routines: []model.Routine{{Name: "main", Index: 1, Calls: 1}},
+		Arcs:     []model.Arc{{From: "ghost", To: "main", Count: 1}},
+	}
+	var buf bytes.Buffer
+	if err := CallGraph(&buf, m, Options{}); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("CallGraph: err %v, want one naming the unknown caller", err)
+	}
+	if err := WriteDOT(&buf, m, Options{}); err == nil {
+		t.Error("WriteDOT accepted an arc from an unknown routine")
+	}
+}
