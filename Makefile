@@ -3,9 +3,9 @@
 check:
 	go build ./... && go test ./...
 
-# Tier-1.5: static analysis plus the race detector over the parallel
-# pipeline stages (profile merging, histogram attribution, propagation,
-# the shared static-layer cache).
+# Tier-1.5: static analysis plus the race detector over the code that
+# is shared between goroutines (gprofd's shards, caches and metrics,
+# the static-layer cache, the observability recorders).
 .PHONY: race
 race:
 	go vet ./... && go test -race ./...
@@ -13,11 +13,6 @@ race:
 .PHONY: bench
 bench:
 	go test -bench=. -benchmem ./...
-
-# Parallel-stage benchmarks only: the -jobs scaling story.
-.PHONY: bench-parallel
-bench-parallel:
-	go test -run xxx -bench 'Parallel|AnalyzeCached' .
 
 # Quick bench sanity pass for CI: every benchmark runs exactly once.
 .PHONY: bench-smoke
@@ -57,8 +52,8 @@ stats-smoke:
 	rm -rf .stats-smoke && mkdir -p .stats-smoke
 	go build -o .stats-smoke/ ./cmd/vmrun ./cmd/gprof ./cmd/tracecheck
 	cd .stats-smoke && (./vmrun -p -q -stats -workload sort || true)
-	cd .stats-smoke && ./gprof -jobs 1 a.out gmon.out > plain.txt
-	cd .stats-smoke && ./gprof -jobs 1 -stats -tracefile t.json -runreport r.json a.out gmon.out > observed.txt
+	cd .stats-smoke && ./gprof a.out gmon.out > plain.txt
+	cd .stats-smoke && ./gprof -stats -tracefile t.json -runreport r.json a.out gmon.out > observed.txt
 	cmp .stats-smoke/plain.txt .stats-smoke/observed.txt
 	cd .stats-smoke && ./tracecheck t.json r.json
 	rm -rf .stats-smoke

@@ -362,7 +362,7 @@ func BenchmarkGmonWrite(b *testing.B) {
 }
 
 // BenchmarkMergeAll sums 16 on-disk copies of a workload profile
-// through the streaming merge (4 workers), in both format versions —
+// through gmon.ReadFiles, in both format versions —
 // the full decode+merge path behind `gprof a.out gmon.out.*`.
 func BenchmarkMergeAll(b *testing.B) {
 	ps, _ := workloadProfiles(b)
@@ -379,7 +379,7 @@ func BenchmarkMergeAll(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gmon.MergeAllStreaming(context.Background(), names, 4); err != nil {
+				if _, err := gmon.ReadFiles(context.Background(), names); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -667,65 +667,7 @@ func BenchmarkSamplingInterval(b *testing.B) {
 	}
 }
 
-// --- parallel pipeline stages (the -jobs flag) -----------------------
-
-// BenchmarkMergeParallel measures the tree-parallel fan-in merge of 16
-// profiles at several worker-pool widths (jobs=1 is the sequential
-// fold). The acceptance target is >= 1.5x at 4 workers on a
-// multi-core host.
-func BenchmarkMergeParallel(b *testing.B) {
-	ps := make([]*gmon.Profile, 16)
-	for i := range ps {
-		ps[i] = syntheticProfile(20000)
-	}
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := gmon.MergeAll(context.Background(), ps, jobs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAttributeParallel measures the sharded histogram-sample
-// attribution against the serial scan.
-func BenchmarkAttributeParallel(b *testing.B) {
-	const nsyms = 2000
-	syms := make([]object.Sym, nsyms)
-	for i := range syms {
-		syms[i] = object.Sym{Name: fmt.Sprintf("f%d", i), Addr: int64(i * 64), Size: 64}
-	}
-	tab := symtab.FromSyms(syms)
-	h := &gmon.Histogram{Low: 0, High: nsyms * 64, Step: 1, Counts: make([]uint32, nsyms*64)}
-	for i := range h.Counts {
-		h.Counts[i] = uint32(i % 7)
-	}
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.AttributeHistN(h, jobs)
-			}
-		})
-	}
-}
-
-// BenchmarkPropagateParallel measures the level-scheduled propagation
-// against the serial topological traversal.
-func BenchmarkPropagateParallel(b *testing.B) {
-	g := randomGraph(10000, 3, 43)
-	scc.Analyze(g)
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := propagate.RunCtx(context.Background(), g, jobs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- static-layer cache ---------------------------------------------
 
 // BenchmarkAnalyzeCached measures repeated analyses of one executable
 // with and without the static-layer cache (the kprof extract-repeatedly

@@ -117,7 +117,6 @@ func main() {
 		scMax   = flag.Int("scalemax", 1_000_000, "largest scale tier to run")
 		scSeed  = flag.Uint64("scaleseed", 1, "scale-suite generator seed")
 		scIters = flag.Int("scaleiters", 3, "timed repetitions per scale tier")
-		scJobs  = flag.Int("scalejobs", 8, "scale-suite parallel-run -jobs width")
 		query   = flag.Bool("query", false, "also run the gprofd query suite (cold/warm latency, mixed traffic)")
 		qIters  = flag.Int("queryiters", 5, "cold-query repetitions; minimum wins")
 	)
@@ -157,7 +156,6 @@ func main() {
 		rows, err := experiments.ScaleSuite(experiments.ScaleConfig{
 			Tiers: tiers,
 			Seed:  *scSeed,
-			Jobs:  *scJobs,
 			Iters: *scIters,
 		})
 		if err != nil {

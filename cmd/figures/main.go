@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/experiments"
@@ -37,13 +36,10 @@ func main() {
 		id   = flag.String("id", "", "run a single experiment by id (e.g. F4, E8)")
 		list = flag.Bool("list", false, "list experiment ids")
 		md   = flag.Bool("md", false, "emit the summary as Markdown")
-		jobs = flag.Int("jobs", runtime.GOMAXPROCS(0),
-			"worker-pool width for the analyses behind each experiment (1 = serial)")
 	)
 	var o obs.CLI
 	o.Register(flag.CommandLine)
 	flag.Parse()
-	experiments.SetJobs(*jobs)
 	experiments.SetTrace(o.Trace())
 	// exit routes every termination through the observability outputs so
 	// a failing experiment still leaves a diagnosable trace behind.

@@ -8,9 +8,7 @@
 //	gprof [flags] [a.out [gmon.out ...]]
 //
 // Multiple profile data files are summed, the paper's "profile of many
-// executions"; -jobs merges them tree-wise across a worker pool and
-// parallelizes the analysis stages (-jobs 1 runs the serial pipeline,
-// byte-identical to the historic output). Flags expose the
+// executions"; the whole pipeline runs serially. Flags expose the
 // retrospective's later features: -k removes arcs, -C runs the bounded
 // cycle-breaking heuristic, -s merges the static call graph scanned
 // from the executable, -m and -focus filter the output.
@@ -22,9 +20,9 @@
 //
 // The profiler profiles itself: -stats prints a per-stage timing and
 // counter summary to stderr, -tracefile writes a Chrome trace-event
-// JSON of the run (one track per worker goroutine; open in Perfetto),
-// and -runreport writes the machine-readable gprof.runreport.v1
-// document. None of the three touch stdout.
+// JSON of the run (open in Perfetto), and -runreport writes the
+// machine-readable gprof.runreport.v1 document. None of the three
+// touch stdout.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -81,10 +78,8 @@ func main() {
 		focus     = flag.String("focus", "", "comma-separated routines: show only them and their neighbors")
 		exclude   = flag.String("E", "", "comma-separated routines to suppress from the listings")
 		brief     = flag.Bool("brief", false, "omit explanatory headers")
-		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0),
-			"worker-pool width for profile merging, attribution, and propagation (1 = serial)")
-		sumFile = flag.String("sum", "", "write the merged profile data to this file and exit")
-		format  = flag.Int("format", gmon.Version1, "profile data format version for -sum (1, 2, or 3)")
+		sumFile   = flag.String("sum", "", "write the merged profile data to this file and exit")
+		format    = flag.Int("format", gmon.Version1, "profile data format version for -sum (1, 2, or 3)")
 	)
 	flag.Var(&removeArcs, "k", "remove arc caller/callee before analysis (repeatable)")
 	var o obs.CLI
@@ -125,7 +120,7 @@ func main() {
 		}
 	}
 	// Profiles load before the image: -sum needs no executable at all.
-	p, err := core.LoadProfiles(ctx, profiles, *jobs)
+	p, err := gmon.ReadFiles(ctx, profiles)
 	if err != nil {
 		fail(err)
 	}
@@ -150,7 +145,6 @@ func main() {
 		RemoveArcs:   removeArcs,
 		AutoBreak:    *autoBreak,
 		MaxBreakArcs: *maxBreak,
-		Jobs:         *jobs,
 		Report: report.Options{
 			MinPercent: *minPct,
 			NoHeaders:  *brief,

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/gmon"
@@ -39,8 +38,6 @@ func main() {
 		exe1 = flag.String("exe1", "", "executable for the old profile data (overrides -exe)")
 		exe2 = flag.String("exe2", "", "executable for the new profile data (overrides -exe)")
 		top  = flag.Int("top", 0, "show only the first N changed routines (0 = all)")
-		jobs = flag.Int("jobs", runtime.GOMAXPROCS(0),
-			"worker-pool width when analyzing raw profile data (1 = serial)")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -52,11 +49,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	oldProf, err := load(ctx, oldName, pick(*exe1, *exe), *jobs)
+	oldProf, err := load(ctx, oldName, pick(*exe1, *exe))
 	if err != nil {
 		fatal(err)
 	}
-	newProf, err := load(ctx, newName, pick(*exe2, *exe), *jobs)
+	newProf, err := load(ctx, newName, pick(*exe2, *exe))
 	if err != nil {
 		fatal(err)
 	}
@@ -115,7 +112,7 @@ func pick(specific, general string) string {
 // directly; profile data (sniffed by gmon.Sniff, so raw or
 // gzip-compressed files in either format version) is analyzed against
 // its executable through the regular pipeline.
-func load(ctx context.Context, name, exe string, jobs int) (*model.Profile, error) {
+func load(ctx context.Context, name, exe string) (*model.Profile, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
@@ -142,11 +139,11 @@ func load(ctx context.Context, name, exe string, jobs int) (*model.Profile, erro
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.LoadProfiles(ctx, []string{name}, jobs)
+	p, err := gmon.ReadFiles(ctx, []string{name})
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(ctx, core.ImageSource{Image: im}, p, core.Options{Jobs: jobs})
+	res, err := core.Run(ctx, core.ImageSource{Image: im}, p, core.Options{})
 	if err != nil {
 		return nil, err
 	}

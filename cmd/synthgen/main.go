@@ -8,7 +8,7 @@
 // Usage:
 //
 //	synthgen -nodes 100000 -seed 7 -image a.out -o gmon.out
-//	synthgen -nodes 1000000 -analyze -jobs 8 -minrate 100000
+//	synthgen -nodes 1000000 -analyze -minrate 100000
 //
 // -analyze runs the full in-process analysis pipeline (graph build →
 // SCC → propagation → model) over the generated workload and prints the
@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -43,7 +42,6 @@ func main() {
 		format  = flag.Int("format", gmon.Version1, "gmon format version to write (1 or 2)")
 		imgPath = flag.String("image", "", "write a matching executable image here")
 		analyze = flag.Bool("analyze", false, "run the full analysis pipeline over the workload")
-		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "worker-pool width for -analyze")
 		minRate = flag.Float64("minrate", 0, "with -analyze: fail below this many nodes/sec")
 	)
 	flag.Parse()
@@ -82,14 +80,14 @@ func main() {
 
 	start := time.Now()
 	res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()},
-		w.Prof, core.Options{Jobs: *jobs})
+		w.Prof, core.Options{})
 	if err != nil {
 		fail(err)
 	}
 	elapsed := time.Since(start)
 	rate := float64(w.Cfg.Nodes) / elapsed.Seconds()
-	fmt.Printf("analyze: %d nodes, %d graph arcs, %d cycles in %v (jobs %d) = %.0f nodes/sec\n",
-		res.Graph.Len(), res.Graph.NumArcs(), len(res.Graph.Cycles), elapsed.Round(time.Millisecond), *jobs, rate)
+	fmt.Printf("analyze: %d nodes, %d graph arcs, %d cycles in %v = %.0f nodes/sec\n",
+		res.Graph.Len(), res.Graph.NumArcs(), len(res.Graph.Cycles), elapsed.Round(time.Millisecond), rate)
 	if *minRate > 0 && rate < *minRate {
 		fail(fmt.Errorf("analysis rate %.0f nodes/sec below floor %.0f", rate, *minRate))
 	}

@@ -232,37 +232,6 @@ func TestCommandDotAndDump(t *testing.T) {
 	}
 }
 
-// TestCommandJobsEquivalence: -jobs 1 (the historic serial pipeline)
-// and -jobs 4 render byte-identical reports, across workloads that
-// exercise merging, cycles, static arcs, and the breaking heuristic.
-func TestCommandJobsEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := buildTools(t)
-	cases := []struct {
-		workload string
-		args     []string
-	}{
-		{"service", nil},
-		{"parser", []string{"-s", "-C"}},
-	}
-	for _, tc := range cases {
-		run(t, dir, "vmrun", "-p", "-workload", tc.workload, "-o", "gmon.1")
-		run(t, dir, "vmrun", "-p", "-workload", tc.workload, "-seed", "9", "-o", "gmon.2")
-		base := append([]string{}, tc.args...)
-		base = append(base, "a.out", "gmon.1", "gmon.2")
-		serial, _ := run(t, dir, "gprof", append([]string{"-jobs", "1"}, base...)...)
-		parallel, _ := run(t, dir, "gprof", append([]string{"-jobs", "4"}, base...)...)
-		if serial == "" {
-			t.Fatalf("%s: empty serial output", tc.workload)
-		}
-		if serial != parallel {
-			t.Errorf("%s %v: -jobs 4 output differs from -jobs 1", tc.workload, tc.args)
-		}
-	}
-}
-
 // TestCommandProfdiff: gprof -json round-trips through profdiff, and
 // profdiff reports per-routine deltas between two workload runs — from
 // saved JSON profiles, from raw profile data, or a mix of both.
@@ -301,7 +270,7 @@ func TestCommandProfdiff(t *testing.T) {
 	}
 
 	// Raw profile data analyzed on the fly gives the same table.
-	fromGmon, errOut := run(t, dir, "profdiff", "-exe", "a.out", "-jobs", "1", "gmon.1", "gmon.2")
+	fromGmon, errOut := run(t, dir, "profdiff", "-exe", "a.out", "gmon.1", "gmon.2")
 	if errOut != "" {
 		t.Fatalf("profdiff on gmon files: %s", errOut)
 	}
@@ -337,7 +306,7 @@ func TestCommandStatsNoDrift(t *testing.T) {
 	run(t, dir, "vmrun", "-p", "-q", "-workload", "service", "-o", "gmon.1")
 	run(t, dir, "vmrun", "-p", "-q", "-workload", "service", "-seed", "9", "-o", "gmon.2")
 
-	base, baseErr := run(t, dir, "gprof", "-jobs", "1", "a.out", "gmon.1", "gmon.2")
+	base, baseErr := run(t, dir, "gprof", "a.out", "gmon.1", "gmon.2")
 	if base == "" {
 		t.Fatal("empty baseline gprof output")
 	}
@@ -346,7 +315,7 @@ func TestCommandStatsNoDrift(t *testing.T) {
 	}
 
 	observed, errOut := run(t, dir, "gprof",
-		"-jobs", "1", "-stats", "-tracefile", "t.json", "-runreport", "r.json",
+		"-stats", "-tracefile", "t.json", "-runreport", "r.json",
 		"a.out", "gmon.1", "gmon.2")
 	if observed != base {
 		t.Errorf("-stats/-tracefile/-runreport changed stdout")

@@ -1,7 +1,6 @@
 // Golden tests: the text output of the gprof pipeline (call graph
 // profile, flat profile, index) is pinned byte-for-byte for every
-// workload at -jobs 1, so presentation refactors can prove they do not
-// drift. `make golden` (go test -run TestGolden -update .) regenerates
+// workload, so presentation refactors can prove they do not drift. `make golden` (go test -run TestGolden -update .) regenerates
 // the files under testdata/golden; CI diffs freshly generated goldens
 // against the committed ones.
 package repro
@@ -26,8 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/gol
 
 // goldenCase is one pinned pipeline run. Everything is deterministic:
 // the VM is a simulated machine with a cycle-driven clock and a seeded
-// rand(), so the same config always yields the same profile, and -jobs 1
-// runs the serial analysis pipeline.
+// rand(), so the same config always yields the same profile.
 type goldenCase struct {
 	name     string // golden file stem
 	workload string
@@ -37,13 +35,13 @@ type goldenCase struct {
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, w := range workloads.Names() {
-		cases = append(cases, goldenCase{name: w, workload: w, opt: core.Options{Jobs: 1}})
+		cases = append(cases, goldenCase{name: w, workload: w, opt: core.Options{}})
 	}
 	// Option variants: static arcs complete the graph; the breaking
 	// heuristic rewrites it. Both change the listing shape.
 	cases = append(cases,
-		goldenCase{name: "parser-static", workload: "parser", opt: core.Options{Jobs: 1, Static: true}},
-		goldenCase{name: "service-autobreak", workload: "service", opt: core.Options{Jobs: 1, AutoBreak: true}},
+		goldenCase{name: "parser-static", workload: "parser", opt: core.Options{Static: true}},
+		goldenCase{name: "service-autobreak", workload: "service", opt: core.Options{AutoBreak: true}},
 	)
 	return cases
 }
@@ -136,28 +134,22 @@ var synthGoldenCases = []struct {
 	{"synth-2000-m", report.Options{NoHeaders: true, MinPercent: 0.5}},
 }
 
-// TestGoldenSynth pins the synthetic variants and checks that every
-// -jobs width renders the same bytes.
+// TestGoldenSynth pins the synthetic variants.
 func TestGoldenSynth(t *testing.T) {
 	for _, tc := range synthGoldenCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, jobs := range []int{1, 4, 13} {
-				w := synth.Generate(synth.Tier(2000, 1))
-				res, err := core.Run(context.Background(), core.ImageSource{Image: w.Image()}, w.Prof,
-					core.Options{Jobs: jobs, Report: tc.opt})
-				if err != nil {
-					t.Fatalf("jobs %d: %v", jobs, err)
-				}
-				var buf bytes.Buffer
-				if err := res.WriteAll(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if jobs > 1 && *update {
-					continue
-				}
-				checkGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), buf.Bytes())
+			w := synth.Generate(synth.Tier(2000, 1))
+			res, err := core.Run(context.Background(), core.ImageSource{Image: w.Image()}, w.Prof,
+				core.Options{Report: tc.opt})
+			if err != nil {
+				t.Fatal(err)
 			}
+			var buf bytes.Buffer
+			if err := res.WriteAll(&buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), buf.Bytes())
 		})
 	}
 }

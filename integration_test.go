@@ -52,7 +52,7 @@ func TestToolWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := gmon.ReadFiles([]string{data})
+	p2, err := gmon.ReadFiles(context.Background(), []string{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMultiRunWorkflow(t *testing.T) {
 		}
 		files = append(files, f)
 	}
-	total, err := gmon.ReadFiles(files)
+	total, err := gmon.ReadFiles(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,10 @@
 // ImageSource for executables of the simulated machine, or a
 // TableSource when the symbols come from elsewhere (e.g. the Go-native
 // collector in package profgo, which is how gprof profiles itself).
-// Options.Jobs spreads the merge-heavy stages (histogram attribution,
-// propagation) across a worker pool, and Options.Cache reuses the
-// symbol table and static call graph across analyses of the same
-// executable. Run is the only analysis entry point; the deprecated
-// Analyze/AnalyzeTable wrappers are gone.
+// Every stage runs serially; Options.Cache reuses the symbol table and
+// static call graph across analyses of the same executable. Run is the
+// only analysis entry point; the deprecated Analyze/AnalyzeTable
+// wrappers are gone.
 package core
 
 import (
@@ -69,10 +68,8 @@ type Options struct {
 	// MaxBreakArcs bounds AutoBreak; 0 means cyclebreak's default.
 	// Setting it without AutoBreak is rejected by Validate.
 	MaxBreakArcs int
-	// Jobs is the worker-pool width for the parallel pipeline stages
-	// (histogram attribution, time propagation). Zero or one runs the
-	// serial pipeline, whose output is byte-identical to the historic
-	// one; CLIs default their -jobs flag to GOMAXPROCS.
+	// Jobs is ignored: the pipeline is serial. It remains so existing
+	// callers keep compiling.
 	Jobs int
 	// Cache, when non-nil, memoizes the symbol table and static call
 	// graph per image content hash so repeated analyses of the same
@@ -84,13 +81,12 @@ type Options struct {
 
 // CacheKey returns a normalized fingerprint of every option that can
 // change Run's output — the analysis switches (Static, RemoveArcs,
-// AutoBreak, MaxBreakArcs) and the rendering options. Jobs and Cache
-// are deliberately excluded: worker-pool width never changes the
-// result (the jobs-invariance tests pin byte-identical output), and
-// the cache is a lookup accelerator, not an input. Two Options values
-// with equal CacheKeys therefore produce byte-identical reports for
-// the same source and profile, which is what lets a serving layer
-// memoize finished analyses per (fingerprint, data version, CacheKey).
+// AutoBreak, MaxBreakArcs) and the rendering options. Jobs (ignored)
+// and Cache are deliberately excluded: the cache is a lookup
+// accelerator, not an input. Two Options values with equal CacheKeys
+// therefore produce byte-identical reports for the same source and
+// profile, which is what lets a serving layer memoize finished
+// analyses per (fingerprint, data version, CacheKey).
 func (o Options) CacheKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "static=%t;autobreak=%t;maxbreak=%d", o.Static, o.AutoBreak, o.MaxBreakArcs)
@@ -118,9 +114,6 @@ func (o Options) CacheKey() string {
 // Validate rejects contradictory settings instead of silently ignoring
 // them. Every error wraps ErrBadOptions.
 func (o Options) Validate() error {
-	if o.Jobs < 0 {
-		return fmt.Errorf("%w: Jobs %d is negative", ErrBadOptions, o.Jobs)
-	}
 	if o.MaxBreakArcs < 0 {
 		return fmt.Errorf("%w: MaxBreakArcs %d is negative", ErrBadOptions, o.MaxBreakArcs)
 	}
@@ -128,14 +121,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: MaxBreakArcs %d set without AutoBreak", ErrBadOptions, o.MaxBreakArcs)
 	}
 	return nil
-}
-
-// jobs returns the effective worker-pool width.
-func (o Options) jobs() int {
-	if o.Jobs <= 1 {
-		return 1
-	}
-	return o.Jobs
 }
 
 // A Source supplies the symbol layer an analysis maps profile addresses
@@ -213,9 +198,8 @@ type Result struct {
 
 // Run post-processes a profile against a source of symbols. It is the
 // single entry point behind every tool: ctx cancels the long stages
-// (attribution, propagation) between pipeline steps, opt.Jobs sets the
-// worker-pool width (0 or 1 reproduces the serial pipeline exactly),
-// and opt.Cache reuses static layers across calls.
+// (attribution, propagation) between pipeline steps, and opt.Cache
+// reuses static layers across calls.
 //
 // When ctx carries an obs.Trace (obs.NewContext), every pipeline stage
 // records a span — load, graph (with its attribute sub-span), scc,
@@ -255,7 +239,7 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		tr.Gauge("cache.static_misses").Set(int64(misses))
 	}
 	endGraph := tr.Span("graph")
-	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())
+	g, err := callgraph.BuildCtx(ctx, tab, p, 1)
 	endGraph()
 	if err != nil {
 		return nil, err
@@ -288,12 +272,10 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 }
 
 // LoadProfiles reads one or more profile data files and sums them into
-// a single profile, streaming each file through a pooled decode buffer
-// across a worker pool of the given width (jobs <= 1 reads
-// sequentially). It is the loading half of every tool's pipeline; the
-// result feeds Run.
+// a single profile for Run; it is gmon.ReadFiles. jobs is ignored; it
+// remains so existing callers keep compiling.
 func LoadProfiles(ctx context.Context, names []string, jobs int) (*gmon.Profile, error) {
-	return gmon.MergeAllStreaming(ctx, names, jobs)
+	return gmon.ReadFiles(ctx, names)
 }
 
 func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, error) {
@@ -316,7 +298,7 @@ func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, erro
 		endBreak()
 	}
 	endProp := tr.Span("propagate")
-	err := propagate.RunCtx(ctx, g, opt.jobs())
+	err := propagate.RunCtx(ctx, g, 1)
 	endProp()
 	if err != nil {
 		return nil, err

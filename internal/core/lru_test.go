@@ -72,8 +72,8 @@ func TestLRUConcurrent(t *testing.T) {
 }
 
 // TestOptionsCacheKey pins what the analysis-memoization key must and
-// must not depend on: output-affecting options change it, worker-pool
-// width and the cache pointer do not, and RemoveArcs order is
+// must not depend on: output-affecting options change it, the ignored
+// Jobs field and the cache pointer do not, and RemoveArcs order is
 // normalized away.
 func TestOptionsCacheKey(t *testing.T) {
 	base := Options{}

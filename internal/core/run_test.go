@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gmon"
@@ -37,9 +39,7 @@ func TestOptionsValidate(t *testing.T) {
 		bad  bool
 	}{
 		{"zero value", Options{}, false},
-		{"jobs set", Options{Jobs: 8}, false},
 		{"autobreak with bound", Options{AutoBreak: true, MaxBreakArcs: 3}, false},
-		{"negative jobs", Options{Jobs: -1}, true},
 		{"negative bound", Options{MaxBreakArcs: -2, AutoBreak: true}, true},
 		{"bound without autobreak", Options{MaxBreakArcs: 3}, true},
 	}
@@ -80,14 +80,13 @@ func TestRunNilArguments(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSerial: the parallel cached pipeline renders
-// the same bytes as the serial uncached run.
-func TestRunParallelMatchesSerial(t *testing.T) {
+// TestRunCachedMatchesUncached: a run through the static-layer cache,
+// cold and then warm, renders the same report as an uncached run.
+func TestRunCachedMatchesUncached(t *testing.T) {
 	cache := NewCache(4)
 	for _, name := range []string{"parser", "service"} {
 		w := buildAndRun(t, name)
-		opt := Options{Static: true}
-		base, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, opt)
+		base, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, Options{Static: true})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", name, err)
 		}
@@ -95,19 +94,65 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		if err := base.WriteAll(&want); err != nil {
 			t.Fatal(err)
 		}
-		for _, jobs := range []int{1, 4} {
-			opt := Options{Static: true, Jobs: jobs, Cache: cache}
-			res, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, opt)
+		for _, pass := range []string{"cold", "warm"} {
+			res, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, Options{Static: true, Cache: cache})
 			if err != nil {
-				t.Fatalf("%s jobs=%d: Run: %v", name, jobs, err)
+				t.Fatalf("%s %s: Run: %v", name, pass, err)
 			}
 			var got bytes.Buffer
 			if err := res.WriteAll(&got); err != nil {
 				t.Fatal(err)
 			}
 			if got.String() != want.String() {
-				t.Errorf("%s jobs=%d: parallel output differs from serial", name, jobs)
+				t.Errorf("%s: %s cached output differs from uncached", name, pass)
 			}
+		}
+	}
+}
+
+// TestLoadProfilesFoldOrder: files whose arc records repeat a (FromPC,
+// SelfPC) key load to the same version-2 bytes in every file order, and
+// to the bytes of gmon.MergeAll over the same profiles.
+func TestLoadProfilesFoldOrder(t *testing.T) {
+	mk := func(arcs ...gmon.Arc) *gmon.Profile {
+		return &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 32, Step: 1, Counts: make([]uint32, 32)}, Hz: 60, Arcs: arcs}
+	}
+	ps := []*gmon.Profile{
+		mk(gmon.Arc{FromPC: 8, SelfPC: 16, Count: 1}, gmon.Arc{FromPC: 8, SelfPC: 16, Count: 2}),
+		mk(gmon.Arc{FromPC: 4, SelfPC: 16, Count: 3}),
+		mk(gmon.Arc{FromPC: 8, SelfPC: 16, Count: 5}),
+	}
+	dir := t.TempDir()
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = filepath.Join(dir, fmt.Sprintf("gmon.%d", i))
+		if err := gmon.WriteFile(names[i], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v2 := func(p *gmon.Profile) string {
+		var buf bytes.Buffer
+		if err := gmon.WriteV2(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	merged, err := gmon.MergeAll(context.Background(), ps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v2(merged)
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		files := make([]string, len(order))
+		for i, j := range order {
+			files[i] = names[j]
+		}
+		p, err := LoadProfiles(context.Background(), files, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v2(p); got != want {
+			t.Errorf("LoadProfiles order %v: v2 bytes differ from MergeAll's", order)
 		}
 	}
 }
@@ -116,7 +161,7 @@ func TestRunCancellation(t *testing.T) {
 	w := buildAndRun(t, "sort")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, ImageSource{Image: w.im}, w.p, Options{Jobs: 4}); err == nil {
+	if _, err := Run(ctx, ImageSource{Image: w.im}, w.p, Options{}); err == nil {
 		t.Error("canceled context not honored")
 	}
 }

@@ -82,47 +82,6 @@ func TestUnifiedStackPipelineE8(t *testing.T) {
 	}
 }
 
-// TestStacksViewJobsInvariance: the Stacks view and its renderings are
-// byte-identical across worker counts — parallelism must not leak into
-// the output.
-func TestStacksViewJobsInvariance(t *testing.T) {
-	w := runStacked(t, "sort")
-	render := func(jobs int) (modelJSON, folded, pprof []byte) {
-		t.Helper()
-		res, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, Options{Jobs: jobs})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		var mj, fo, pb bytes.Buffer
-		if err := model.Encode(&mj, res.Model); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteFolded(&fo); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WritePprof(&pb); err != nil {
-			t.Fatal(err)
-		}
-		return mj.Bytes(), fo.Bytes(), pb.Bytes()
-	}
-	wantJSON, wantFolded, wantPprof := render(1)
-	if len(wantFolded) == 0 {
-		t.Fatal("folded rendering is empty")
-	}
-	for _, jobs := range []int{4, 13} {
-		gotJSON, gotFolded, gotPprof := render(jobs)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("jobs=%d: model JSON differs from jobs=1", jobs)
-		}
-		if !bytes.Equal(gotFolded, wantFolded) {
-			t.Errorf("jobs=%d: folded output differs from jobs=1", jobs)
-		}
-		if !bytes.Equal(gotPprof, wantPprof) {
-			t.Errorf("jobs=%d: pprof output differs from jobs=1", jobs)
-		}
-	}
-}
-
 // TestStacklessProfileKeepsV1: without stack samples nothing changes —
 // v1 schema, no view, and the stack renderers refuse loudly.
 func TestStacklessProfileKeepsV1(t *testing.T) {

@@ -167,11 +167,10 @@ func benchOne(name string, iters int) (WorkloadBench, error) {
 	row.GmonV2Bytes = int64(buf.Len())
 
 	// Analyze the profile we just gathered, under a private trace: the
-	// report's stage rows become the row's analysis_stages. Serial
-	// (Jobs: 1) so the numbers are comparable across host core counts.
+	// report's stage rows become the row's analysis_stages.
 	atr := obs.New()
 	actx := obs.NewContext(context.Background(), atr)
-	if _, err := core.Run(actx, core.ImageSource{Image: profIm}, snap, core.Options{Jobs: 1}); err != nil {
+	if _, err := core.Run(actx, core.ImageSource{Image: profIm}, snap, core.Options{}); err != nil {
 		return WorkloadBench{}, err
 	}
 	rep := atr.Report()

@@ -48,23 +48,12 @@ type Result struct {
 	Detail  string // full output for the curious
 }
 
-// jobs is the worker-pool width analyses run at; cache shares symbol
-// tables and static scans across the experiments that re-analyze the
-// same workload image.
+// cache shares symbol tables and static scans across the experiments
+// that re-analyze the same workload image.
 var (
-	jobs  = 1
 	cache = core.NewCache(0)
 	trace *obs.Trace
 )
-
-// SetJobs sets the worker-pool width used by every analysis (cmd/figures
-// wires its -jobs flag here); n < 1 means serial.
-func SetJobs(n int) {
-	if n < 1 {
-		n = 1
-	}
-	jobs = n
-}
 
 // SetTrace attaches an observability trace to every analysis the
 // experiments run (cmd/figures wires its -stats/-tracefile flags here);
@@ -77,10 +66,9 @@ func runCtx() context.Context {
 	return obs.NewContext(context.Background(), trace)
 }
 
-// analyze runs the post-processor with the package's jobs width and
-// shared static-layer cache.
+// analyze runs the post-processor with the package's shared
+// static-layer cache.
 func analyze(im *object.Image, p *gmon.Profile, opt core.Options) (*core.Result, error) {
-	opt.Jobs = jobs
 	opt.Cache = cache
 	return core.Run(runCtx(), core.ImageSource{Image: im}, p, opt)
 }
@@ -460,7 +448,7 @@ func SelfProfile() Result {
 	if err != nil {
 		return failed("E4", err)
 	}
-	selfRes, err := core.Run(runCtx(), core.TableSource{Table: p.Table()}, p.Snapshot(), core.Options{Jobs: jobs})
+	selfRes, err := core.Run(runCtx(), core.TableSource{Table: p.Table()}, p.Snapshot(), core.Options{})
 	if err != nil {
 		return failed("E4", err)
 	}

@@ -30,23 +30,19 @@ type ScaleTier struct {
 	Cycles     int   `json:"cycles"`      // SCC cycles discovered
 	GmonBytes  int64 `json:"gmon_bytes"`  // on-disk size, format v2
 
-	LoadNs     int64 `json:"load_ns"`             // mmap + decode, min over iters
-	SerialNs   int64 `json:"analyze_serial_ns"`   // core.Run jobs=1, min over iters
-	ParallelNs int64 `json:"analyze_parallel_ns"` // core.Run jobs=Jobs, min over iters
-	Jobs       int   `json:"jobs"`                // pool width of the parallel runs
+	LoadNs   int64 `json:"load_ns"`           // mmap + decode, min over iters
+	SerialNs int64 `json:"analyze_serial_ns"` // core.Run, min over iters
 
 	// ProfilesPerSec is the headline: full profiles analyzed per second
-	// at this tier, counting the load and the parallel analysis.
+	// at this tier, counting the load and the analysis.
 	ProfilesPerSec float64 `json:"profiles_analyzed_per_sec"`
-	NodesPerSec    float64 `json:"nodes_per_sec"`    // Nodes / (load + parallel analyze)
-	Speedup        float64 `json:"parallel_speedup"` // serial ns / parallel ns
+	NodesPerSec    float64 `json:"nodes_per_sec"` // Nodes / (load + analyze)
 }
 
 // ScaleConfig controls a scale-suite run.
 type ScaleConfig struct {
 	Tiers []int  // routine counts; nil means 1e3, 1e4, 1e5, 1e6
 	Seed  uint64 // generator seed; 0 means 1
-	Jobs  int    // parallel pool width; <1 means GOMAXPROCS
 	Iters int    // timed repetitions per tier; the minimum wall time wins
 }
 
@@ -55,10 +51,9 @@ type ScaleConfig struct {
 var DefaultScaleTiers = []int{1_000, 10_000, 100_000, 1_000_000}
 
 // ScaleSuite generates, stores, loads, and analyzes one workload per
-// tier and returns the measured rows in tier order. Tiers run serially
-// (they time the pipeline's own parallelism, so concurrent tiers would
-// contend); the profile data file lives in a private temp directory
-// that is removed before return.
+// tier and returns the measured rows in tier order. Tiers run one at a
+// time so they do not contend; the profile data file lives in a private
+// temp directory that is removed before return.
 func ScaleSuite(cfg ScaleConfig) ([]ScaleTier, error) {
 	tiers := cfg.Tiers
 	if len(tiers) == 0 {
@@ -105,10 +100,6 @@ func scaleOne(path string, nodes int, cfg ScaleConfig) (ScaleTier, error) {
 		Seed:       int64(cfg.Seed),
 		ArcRecords: len(w.Prof.Arcs),
 		GmonBytes:  st.Size(),
-		Jobs:       cfg.Jobs,
-	}
-	if row.Jobs < 1 {
-		row.Jobs = defaultJobs()
 	}
 
 	// Load: the zero-copy path (binio.Map under gmon.ReadFile). The
@@ -124,57 +115,30 @@ func scaleOne(path string, nodes int, cfg ScaleConfig) (ScaleTier, error) {
 		return ScaleTier{}, err
 	}
 
-	// Serial and parallel runs interleave, alternating which goes
-	// first, with a GC and a dropped previous result before each timed
-	// run: over a multi-second tier the heap drifts, and back-to-back
-	// blocks would charge all of that drift to whichever mode ran last.
+	// A GC and a dropped previous result before each timed run keep
+	// one iteration's garbage from being charged to the next.
 	src := core.TableSource{Table: tab}
-	ctx := context.Background()
 	var res *core.Result
-	timed := func(jobs int) (int64, error) {
+	row.SerialNs = int64(1<<63 - 1)
+	for it := 0; it < cfg.Iters; it++ {
 		res = nil
 		runtime.GC()
 		start := time.Now()
-		r, err := core.Run(ctx, src, p, core.Options{Jobs: jobs})
-		d := time.Since(start).Nanoseconds()
-		res = r
-		return d, err
-	}
-	row.SerialNs, row.ParallelNs = int64(1<<63-1), int64(1<<63-1)
-	for it := 0; it < cfg.Iters; it++ {
-		order := []int{1, row.Jobs}
-		if it%2 == 1 {
-			order[0], order[1] = order[1], order[0]
+		res, err = core.Run(context.Background(), src, p, core.Options{})
+		if err != nil {
+			return ScaleTier{}, err
 		}
-		for _, jobs := range order {
-			d, err := timed(jobs)
-			if err != nil {
-				return ScaleTier{}, err
-			}
-			if jobs == 1 {
-				row.SerialNs = min(row.SerialNs, d)
-			} else {
-				row.ParallelNs = min(row.ParallelNs, d)
-			}
-		}
+		row.SerialNs = min(row.SerialNs, time.Since(start).Nanoseconds())
 	}
 
-	if row.ParallelNs == int64(1<<63-1) { // Jobs == 1: both runs hit the serial bucket
-		row.ParallelNs = row.SerialNs
-	}
 	row.GraphArcs = res.Graph.NumArcs()
 	row.Cycles = len(res.Graph.Cycles)
-	if total := row.LoadNs + row.ParallelNs; total > 0 {
+	if total := row.LoadNs + row.SerialNs; total > 0 {
 		row.ProfilesPerSec = 1e9 / float64(total)
 		row.NodesPerSec = float64(nodes) * 1e9 / float64(total)
 	}
-	if row.ParallelNs > 0 {
-		row.Speedup = float64(row.SerialNs) / float64(row.ParallelNs)
-	}
 	return row, nil
 }
-
-func defaultJobs() int { return runtime.GOMAXPROCS(0) }
 
 // minNs runs f iters times and returns the minimum wall time in
 // nanoseconds; the first error aborts (f's error is left for the

@@ -147,6 +147,9 @@ func (p *Profile) Validate() error {
 	if err := p.Hist.Validate(); err != nil {
 		return err
 	}
+	if p.Hz < 0 {
+		return fmt.Errorf("gmon: clock rate %d Hz (want >= 0)", p.Hz)
+	}
 	for i, a := range p.Arcs {
 		if a.Count < 0 {
 			return fmt.Errorf("gmon: arc %d has negative count %d", i, a.Count)
@@ -253,10 +256,14 @@ func stackKey(pcs []int64) string {
 	return string(b)
 }
 
-// Merge accumulates other into p: histogram bucket counts and arc counts
-// add element-wise. Profiles are mergeable only when their histogram
-// geometry and clock rate agree, the same restriction real gprof places
-// on summed gmon.out files.
+// Merge accumulates other into p: histogram bucket counts add
+// element-wise, and the arc lists merge linearly into canonical form —
+// sorted by (FromPC, SelfPC) with the counts of equal keys summed, so
+// the result does not depend on the order profiles are folded in.
+// other is never modified; an unsorted (version-1) arc list is merged
+// from a sorted copy. Profiles are mergeable only when their histogram
+// geometry and clock rate agree, the same restriction real gprof
+// places on summed gmon.out files.
 func (p *Profile) Merge(other *Profile) error {
 	if err := p.checkMergeable(other); err != nil {
 		return err
@@ -264,20 +271,7 @@ func (p *Profile) Merge(other *Profile) error {
 	for i, c := range other.Hist.Counts {
 		p.Hist.Counts[i] += c
 	}
-	type key struct{ from, self int64 }
-	idx := make(map[key]int, len(p.Arcs))
-	for i, a := range p.Arcs {
-		idx[key{a.FromPC, a.SelfPC}] = i
-	}
-	for _, a := range other.Arcs {
-		if i, ok := idx[key{a.FromPC, a.SelfPC}]; ok {
-			p.Arcs[i].Count += a.Count
-		} else {
-			idx[key{a.FromPC, a.SelfPC}] = len(p.Arcs)
-			p.Arcs = append(p.Arcs, a)
-		}
-	}
-	p.SortArcs()
+	p.Arcs = mergeArcs(sortedArcs(p.Arcs), sortedArcs(other.Arcs))
 	if len(other.Stacks) > 0 {
 		// Stack-table-aware fold: identical PC sequences sum their
 		// counts, new sequences append. PC slices are never mutated

@@ -2,6 +2,7 @@ package gmon
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -264,15 +265,15 @@ func TestFilesRoundTrip(t *testing.T) {
 	if err := WriteFile(f2, p2); err != nil {
 		t.Fatal(err)
 	}
-	total, err := ReadFiles([]string{f1, f2})
+	total, err := ReadFiles(context.Background(), []string{f1, f2})
 	if err != nil {
 		t.Fatalf("ReadFiles: %v", err)
 	}
 	if total.Hist.Counts[1] != 10 {
 		t.Errorf("merged bucket = %d, want 10", total.Hist.Counts[1])
 	}
-	if _, err := ReadFiles(nil); err == nil {
-		t.Error("ReadFiles(nil) succeeded")
+	if _, err := ReadFiles(context.Background(), nil); err == nil {
+		t.Error("ReadFiles(context.Background(), nil) succeeded")
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("ReadFile(missing) succeeded")

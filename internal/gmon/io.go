@@ -1,12 +1,12 @@
 package gmon
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/binio"
@@ -348,12 +348,7 @@ func WriteVersion(w io.Writer, p *Profile, version int) error {
 		return fmt.Errorf("gmon: refusing to write invalid profile: %w", err)
 	}
 	arcs := p.Arcs
-	if version >= Version2 && !sort.SliceIsSorted(arcs, func(i, j int) bool {
-		if arcs[i].FromPC != arcs[j].FromPC {
-			return arcs[i].FromPC < arcs[j].FromPC
-		}
-		return arcs[i].SelfPC < arcs[j].SelfPC
-	}) {
+	if version >= Version2 && !slices.IsSortedFunc(arcs, cmpArcs) {
 		arcs = append([]Arc(nil), arcs...)
 		sortArcs(arcs)
 	}
@@ -462,6 +457,14 @@ func newReaderBR(br *binio.Reader) (*Reader, error) {
 	}
 	if nstack > maxRecords {
 		return fail(fmt.Errorf("gmon: implausible stack count %d", nstack))
+	}
+	switch {
+	case h.Hz < 0:
+		return fail(fmt.Errorf("gmon: clock rate %d Hz (want >= 0)", h.Hz))
+	case h.Hz == 0:
+		// Zero means DefaultHz, which is what the writer records, so a
+		// decoded profile re-encodes to a file that decodes equal.
+		h.Hz = DefaultHz
 	}
 	if h.Step <= 0 {
 		return fail(fmt.Errorf("gmon: histogram step %d (want > 0)", h.Step))
@@ -810,6 +813,15 @@ func ReadStats(r io.Reader) (*Profile, FileStats, error) {
 	return p, st, nil
 }
 
+// ReadProfile decodes the rest of the stream (counts, arcs and stacks)
+// into p, reusing p's storage. It lets a caller inspect Header before
+// committing to the body: gprofd rejects an upload whose geometry
+// cannot merge without decoding a single count.
+func (d *Reader) ReadProfile(p *Profile) error {
+	_, err := decodeInto(d, p)
+	return err
+}
+
 func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 	h := d.Header()
 	p.Hz = h.Hz
@@ -941,11 +953,4 @@ func ReadFileStats(name string) (*Profile, FileStats, error) {
 		return nil, st, fmt.Errorf("%s: %w", name, err)
 	}
 	return p, st, nil
-}
-
-// ReadFiles reads and merges several profile data files, the paper's
-// "profile of many executions". See ReadFilesCtx for the concurrent
-// variant.
-func ReadFiles(names []string) (*Profile, error) {
-	return ReadFilesCtx(context.Background(), names, 1)
 }

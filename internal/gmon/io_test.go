@@ -306,9 +306,10 @@ func testingAllocs(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestMergeAllStreamingMatchesSequential: the pooled streaming merge
-// over any worker count equals the one-at-a-time fold bit for bit.
-func TestMergeAllStreamingMatchesSequential(t *testing.T) {
+// TestReadFilesMatchesSequential: reading and summing files through
+// the pooled scratch equals the one-at-a-time fold of ReadFile bit for
+// bit, over mixed format versions.
+func TestReadFilesMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	for trial := 0; trial < 10; trial++ {
@@ -337,19 +338,19 @@ func TestMergeAllStreamingMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, jobs := range []int{1, 2, 3, 8} {
-			got, err := MergeAllStreaming(context.Background(), names, jobs)
-			if err != nil {
-				t.Fatalf("trial %d jobs %d: %v", trial, jobs, err)
-			}
-			if !bytes.Equal(encode(t, got), encode(t, want)) {
-				t.Fatalf("trial %d: jobs=%d merge diverged from sequential fold", trial, jobs)
-			}
+		got, err := ReadFiles(context.Background(), names)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !bytes.Equal(encode(t, got), encode(t, want)) {
+			t.Fatalf("trial %d: ReadFiles diverged from sequential fold", trial)
 		}
 	}
 }
 
-func TestMergeAllStreamingNamesBadFile(t *testing.T) {
+// TestReadFilesNamesBadFile: an unreadable, missing or incompatible
+// input is reported by name, and an empty list is an error.
+func TestReadFilesNamesBadFile(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "gmon.good")
 	if err := WriteFile(good, sample()); err != nil {
@@ -359,11 +360,12 @@ func TestMergeAllStreamingNamesBadFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a profile"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := MergeAllStreaming(context.Background(), []string{good, bad, good}, 4)
+	_, err := ReadFiles(context.Background(), []string{good, bad, good})
 	if err == nil || !strings.Contains(err.Error(), "gmon.bad") {
 		t.Errorf("error does not name the bad file: %v", err)
 	}
-	// Geometry mismatch is attributed to the incompatible input too.
+	// Geometry and clock-rate mismatches are attributed to the
+	// incompatible input too.
 	odd := sample()
 	odd.Hist.High += 4
 	odd.Hist.Counts = append(odd.Hist.Counts, 0, 0, 0, 0)
@@ -371,9 +373,25 @@ func TestMergeAllStreamingNamesBadFile(t *testing.T) {
 	if err := WriteFile(oddName, odd); err != nil {
 		t.Fatal(err)
 	}
-	_, err = MergeAllStreaming(context.Background(), []string{good, good, oddName, good}, 3)
+	_, err = ReadFiles(context.Background(), []string{good, good, oddName, good})
 	if err == nil || !strings.Contains(err.Error(), "gmon.odd") {
 		t.Errorf("error does not name the incompatible file: %v", err)
+	}
+	fast := sample()
+	fast.Hz = 100
+	fastName := filepath.Join(dir, "gmon.fast")
+	if err := WriteFile(fastName, fast); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadFiles(context.Background(), []string{good, fastName})
+	if err == nil || !strings.Contains(err.Error(), "gmon.fast") {
+		t.Errorf("clock-rate mismatch does not name the file: %v", err)
+	}
+	if _, err := ReadFiles(context.Background(), nil); err == nil {
+		t.Error("empty name list accepted")
+	}
+	if _, err := ReadFiles(context.Background(), []string{filepath.Join(dir, "missing")}); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

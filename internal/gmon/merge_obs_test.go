@@ -38,32 +38,30 @@ func stageByName(r obs.RunReport, name string) (obs.StageTiming, bool) {
 	return obs.StageTiming{}, false
 }
 
-// TestMergeRecordsTrace: a traced streaming merge records the merge
+// TestMergeRecordsTrace: a traced multi-file read records the merge
 // span, one read span per input, and the file/byte counters.
 func TestMergeRecordsTrace(t *testing.T) {
 	names := writeProfiles(t, 5)
-	for _, jobs := range []int{1, 4} {
-		tr := obs.New()
-		ctx := obs.NewContext(context.Background(), tr)
-		if _, err := MergeAllStreaming(ctx, names, jobs); err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		r := tr.Report()
-		if !r.Complete {
-			t.Errorf("jobs=%d: report not complete: %q", jobs, r.Error)
-		}
-		if st, ok := stageByName(r, "merge"); !ok || st.Count != 1 {
-			t.Errorf("jobs=%d: merge span missing or duplicated: %+v", jobs, st)
-		}
-		if st, ok := stageByName(r, "gmon.read_file"); !ok || st.Count != int64(len(names)) {
-			t.Errorf("jobs=%d: want %d read spans, got %+v", jobs, len(names), st)
-		}
-		if got := r.Counters["gmon.files_read"]; got != int64(len(names)) {
-			t.Errorf("jobs=%d: files_read = %d, want %d", jobs, got, len(names))
-		}
-		if r.Counters["gmon.bytes_read"] <= 0 {
-			t.Errorf("jobs=%d: bytes_read not recorded", jobs)
-		}
+	tr := obs.New()
+	ctx := obs.NewContext(context.Background(), tr)
+	if _, err := ReadFiles(ctx, names); err != nil {
+		t.Fatal(err)
+	}
+	r := tr.Report()
+	if !r.Complete {
+		t.Errorf("report not complete: %q", r.Error)
+	}
+	if st, ok := stageByName(r, "merge"); !ok || st.Count != 1 {
+		t.Errorf("merge span missing or duplicated: %+v", st)
+	}
+	if st, ok := stageByName(r, "gmon.read_file"); !ok || st.Count != int64(len(names)) {
+		t.Errorf("want %d read spans, got %+v", len(names), st)
+	}
+	if got := r.Counters["gmon.files_read"]; got != int64(len(names)) {
+		t.Errorf("files_read = %d, want %d", got, len(names))
+	}
+	if r.Counters["gmon.bytes_read"] <= 0 {
+		t.Error("bytes_read not recorded")
 	}
 }
 
@@ -95,7 +93,7 @@ func TestMergeCancelPartialReport(t *testing.T) {
 	// Err() call #1 is the pre-read check; #2 is the first loop
 	// iteration, so exactly one file is read before the abort.
 	ctx := &failAfterCtx{Context: obs.NewContext(context.Background(), tr), after: 1}
-	_, err := MergeAllStreaming(ctx, names, 1)
+	_, err := ReadFiles(ctx, names)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

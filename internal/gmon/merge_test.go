@@ -5,7 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -42,8 +42,8 @@ func encode(t *testing.T, p *Profile) []byte {
 }
 
 // TestMergeAllMatchesSequential is the merge-determinism property: a
-// tree-parallel merge of a shuffled profile list equals the sequential
-// fold bit-for-bit, for every list length and worker count tried.
+// merge of a shuffled profile list equals the left-to-right fold of the
+// original list bit for bit, for every list length tried.
 func TestMergeAllMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 3, 5, 8, 16, 33} {
@@ -51,31 +51,110 @@ func TestMergeAllMatchesSequential(t *testing.T) {
 		for i := range ps {
 			ps[i] = randomProfile(rng)
 		}
-		sequential, err := MergeAll(context.Background(), ps, 1)
-		if err != nil {
-			t.Fatalf("k=%d sequential: %v", k, err)
+		sequential := ps[0].Clone()
+		for _, p := range ps[1:] {
+			if err := sequential.Merge(p); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
 		}
 		want := encode(t, sequential)
-		for _, jobs := range []int{2, 4, 7} {
-			shuffled := append([]*Profile(nil), ps...)
-			rng.Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
-			got, err := MergeAll(context.Background(), shuffled, jobs)
-			if err != nil {
-				t.Fatalf("k=%d jobs=%d: %v", k, jobs, err)
-			}
-			// Shuffling changes nothing: counts sum and arcs sort.
-			if !bytes.Equal(encode(t, got), want) {
-				t.Errorf("k=%d jobs=%d: tree-parallel merge of shuffled list differs from sequential", k, jobs)
-			}
+		shuffled := append([]*Profile(nil), ps...)
+		rng.Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		got, err := MergeAll(context.Background(), shuffled, 1)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		// Shuffling changes nothing: counts sum and arcs sort.
+		if !bytes.Equal(encode(t, got), want) {
+			t.Errorf("k=%d: merge of shuffled list differs from sequential fold", k)
+		}
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int(nil), p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// foldOrderProfiles returns three mergeable profiles whose arc lists
+// repeat a (FromPC, SelfPC) key, within one profile (a) and across
+// profiles (a and c): a collector that never coalesces, or a v1 file
+// written by another tool, can produce such records.
+func foldOrderProfiles() []*Profile {
+	mk := func(arcs ...Arc) *Profile {
+		return &Profile{Hist: Histogram{Low: 0, High: 32, Step: 1, Counts: make([]uint32, 32)}, Hz: 60, Arcs: arcs}
+	}
+	a := mk(Arc{FromPC: 8, SelfPC: 16, Count: 1}, Arc{FromPC: 8, SelfPC: 16, Count: 2})
+	b := mk(Arc{FromPC: 4, SelfPC: 16, Count: 3})
+	c := mk(Arc{FromPC: 8, SelfPC: 16, Count: 5})
+	return []*Profile{a, b, c}
+}
+
+// TestMergeFoldOrder: with duplicate arc records in the inputs, every
+// fold order gives the same arcs and the same version-2 bytes, through
+// MergeAll and through ReadFiles of the same profiles on disk.
+func TestMergeFoldOrder(t *testing.T) {
+	want := []Arc{{FromPC: 4, SelfPC: 16, Count: 3}, {FromPC: 8, SelfPC: 16, Count: 8}}
+	dir := t.TempDir()
+	var names []string
+	for i, p := range foldOrderProfiles() {
+		names = append(names, filepath.Join(dir, "gmon."+string(rune('a'+i))))
+		if err := WriteFile(names[i], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v2 := func(p *Profile) []byte {
+		var buf bytes.Buffer
+		if err := WriteV2(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var wantV2 []byte
+	for _, order := range permutations(len(names)) {
+		ps := foldOrderProfiles()
+		var profiles []*Profile
+		var files []string
+		for _, i := range order {
+			profiles = append(profiles, ps[i])
+			files = append(files, names[i])
+		}
+		merged, err := MergeAll(context.Background(), profiles, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(merged.Arcs, want) {
+			t.Errorf("MergeAll%v arcs = %v, want %v", order, merged.Arcs, want)
+		}
+		if wantV2 == nil {
+			wantV2 = v2(merged)
+		} else if !bytes.Equal(v2(merged), wantV2) {
+			t.Errorf("MergeAll%v: v2 bytes depend on fold order", order)
+		}
+		read, err := ReadFiles(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v2(read), wantV2) {
+			t.Errorf("ReadFiles%v: v2 bytes differ from MergeAll's", order)
 		}
 	}
 }
 
 // TestMergeAllLeavesInputsAlone: the inputs must not accumulate into
-// each other (the sequential ReadFiles path mutates only the profile it
-// read itself).
+// each other (MergeAll folds into a clone of the first).
 func TestMergeAllLeavesInputsAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ps := []*Profile{randomProfile(rng), randomProfile(rng), randomProfile(rng)}
@@ -83,20 +162,18 @@ func TestMergeAllLeavesInputsAlone(t *testing.T) {
 	for i, p := range ps {
 		before[i] = encode(t, p)
 	}
-	for _, jobs := range []int{1, 4} {
-		if _, err := MergeAll(context.Background(), ps, jobs); err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range ps {
-			if !bytes.Equal(encode(t, p), before[i]) {
-				t.Errorf("jobs=%d: MergeAll mutated input %d", jobs, i)
-			}
+	if _, err := MergeAll(context.Background(), ps, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
+		if !bytes.Equal(encode(t, p), before[i]) {
+			t.Errorf("MergeAll mutated input %d", i)
 		}
 	}
 }
 
 func TestMergeAllErrors(t *testing.T) {
-	if _, err := MergeAll(context.Background(), nil, 4); err == nil {
+	if _, err := MergeAll(context.Background(), nil, 1); err == nil {
 		t.Error("empty profile list accepted")
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -104,10 +181,8 @@ func TestMergeAllErrors(t *testing.T) {
 	ps[2] = ps[2].Clone()
 	ps[2].Hist.Step = 2
 	ps[2].Hist.Counts = ps[2].Hist.Counts[:ps[2].Hist.NumBuckets()]
-	for _, jobs := range []int{1, 4} {
-		if _, err := MergeAll(context.Background(), ps, jobs); err == nil {
-			t.Errorf("jobs=%d: geometry mismatch accepted", jobs)
-		}
+	if _, err := MergeAll(context.Background(), ps, 1); err == nil {
+		t.Error("geometry mismatch accepted")
 	}
 }
 
@@ -119,55 +194,7 @@ func TestMergeAllCancellation(t *testing.T) {
 	for i := range ps {
 		ps[i] = randomProfile(rng)
 	}
-	for _, jobs := range []int{1, 4} {
-		if _, err := MergeAll(ctx, ps, jobs); err == nil {
-			t.Errorf("jobs=%d: canceled context not honored", jobs)
-		}
-	}
-}
-
-// TestReadFilesCtxMatchesReadFiles: the concurrent reader returns the
-// same bytes as the sequential one and attributes incompatible files by
-// name.
-func TestReadFilesCtxMatchesReadFiles(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	var names []string
-	for i := 0; i < 9; i++ {
-		name := filepath.Join(dir, "gmon."+string(rune('a'+i)))
-		if err := WriteFile(name, randomProfile(rng)); err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, name)
-	}
-	want, err := ReadFiles(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFilesCtx(context.Background(), names, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, want), encode(t, got)) {
-		t.Error("parallel ReadFilesCtx differs from sequential ReadFiles")
-	}
-
-	// A geometry mismatch names the offending file.
-	odd := randomProfile(rng)
-	odd.Hz = 100
-	oddName := filepath.Join(dir, "gmon.odd")
-	if err := WriteFile(oddName, odd); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadFilesCtx(context.Background(), append(names, oddName), 4)
-	if err == nil || !strings.Contains(err.Error(), "gmon.odd") {
-		t.Errorf("mismatch error does not name the file: %v", err)
-	}
-
-	if _, err := ReadFilesCtx(context.Background(), nil, 4); err == nil {
-		t.Error("empty name list accepted")
-	}
-	if _, err := ReadFilesCtx(context.Background(), []string{filepath.Join(dir, "missing")}, 4); err == nil {
-		t.Error("missing file accepted")
+	if _, err := MergeAll(ctx, ps, 1); err == nil {
+		t.Error("canceled context not honored")
 	}
 }

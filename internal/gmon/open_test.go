@@ -3,6 +3,7 @@ package gmon
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
 	"os"
 	"reflect"
@@ -156,7 +157,7 @@ func TestMergeStreamingGzip(t *testing.T) {
 	if err := os.WriteFile(gzName, gzipped(t, buf.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFiles([]string{raw, gzName})
+	got, err := ReadFiles(context.Background(), []string{raw, gzName})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,13 @@
 // pointer check per call site and allocates nothing
 // (testing.AllocsPerRun-verified; see BenchmarkObsSpanOverhead). The
 // trace rides the context (NewContext / FromContext), so the pipeline
-// stages that already take a ctx — core.Run, gmon.MergeAllStreaming,
+// stages that already take a ctx — core.Run, gmon.ReadFiles,
 // propagate.RunCtx, callgraph.BuildCtx — need no signature changes.
 //
 // Spans are meant for coarse units of work (a pipeline stage, a file
-// read, a propagation level), not per-instruction events: starting an
-// enabled span resolves the goroutine id from the runtime, which costs
-// on the order of a microsecond. Counters are the hot-path instrument:
+// read), not per-instruction events: starting an enabled span resolves
+// the goroutine id from the runtime, which costs on the order of a
+// microsecond. Counters are the hot-path instrument:
 // an *obs.Counter is a single atomic; hoist the registry lookup out of
 // the loop and Add in place.
 package obs
@@ -42,8 +42,8 @@ type Event struct {
 }
 
 // shard is one lock-striped event buffer. Goroutines map onto shards by
-// id, sized to the number of Ps, so concurrent stages (merge workers,
-// propagation levels) append without contending on one lock.
+// id, sized to the number of Ps, so concurrent recorders (gprofd's
+// handlers and shard workers) append without contending on one lock.
 type shard struct {
 	mu     sync.Mutex
 	events []Event
@@ -222,8 +222,8 @@ func (t *Trace) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge is a named last-value-wins measurement (e.g. "merge.workers",
-// "propagate.levels"). A nil *Gauge is a no-op.
+// Gauge is a named last-value-wins measurement (e.g. "graph.nodes",
+// "graph.cycles"). A nil *Gauge is a no-op.
 type Gauge struct {
 	name string
 	v    atomic.Int64

@@ -116,10 +116,11 @@ func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 	}{Fingerprint: sh.fp, Routines: len(im.Funcs)})
 }
 
-// handleIngest accepts one gmon.out upload: either format version,
-// gzip or identity transport (sniffed by gmon.OpenReader — no
+// handleIngest accepts one gmon.out upload: any format version, gzip
+// or identity transport (sniffed by gmon.OpenReader — no
 // Content-Encoding negotiation needed), keyed by fingerprint. Malformed
-// bodies are 4xx; a full shard queue is 429 with Retry-After.
+// bodies are 4xx, a header whose geometry or clock rate does not match
+// the shard's is 409, and a full shard queue is 429 with Retry-After.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	end := s.tr.Span("serve.ingest")
 	defer end()
@@ -141,18 +142,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := &countReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
-	p, err := gmon.Open(body)
-	if err != nil {
+	badBody := func(err error) {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge, "profile exceeds the %d-byte upload cap", s.cfg.MaxBodyBytes)
 			return
 		}
 		s.fail(w, http.StatusBadRequest, "bad profile data: %v", err)
+	}
+	d, err := gmon.OpenReader(body)
+	if err != nil {
+		badBody(err)
 		return
 	}
-	if err := sh.checkGeometry(p); err != nil {
+	defer d.Close()
+	// The header alone decides mergeability: a mismatch is refused
+	// before a single count, arc or stack is decoded.
+	if err := sh.checkGeometry(d.Header()); err != nil {
 		s.fail(w, http.StatusConflict, "unmergeable upload: %v", err)
+		return
+	}
+	p := &gmon.Profile{}
+	if err := d.ReadProfile(p); err != nil {
+		badBody(err)
 		return
 	}
 	now := s.cfg.Now()

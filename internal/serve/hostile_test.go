@@ -9,9 +9,11 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"net/http"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/gmon"
 )
@@ -156,5 +158,64 @@ func TestLyingCountsBoundedAllocation(t *testing.T) {
 	// demand less than 64 MB of live-heap growth.
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<20 {
 		t.Errorf("heap grew %d bytes across 50 lying-count uploads", grew)
+	}
+}
+
+// mismatchedGeometryUpload is a gzipped version-2 upload declaring 2^24
+// histogram buckets over [0, 2^24): 16 MiB of zero counts that deflate
+// to a few KiB, so decoding it costs far more than receiving it.
+func mismatchedGeometryUpload(t *testing.T) []byte {
+	t.Helper()
+	const buckets = 1 << 24
+	hdr := append([]byte(nil), "GMON"...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, gmon.Version2)
+	for _, v := range []int64{60, 0, buckets, 1} { // hz, low, high, step
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v))
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, buckets) // buckets
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)       // arcs
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(hdr)
+	zeros := make([]byte, 1<<16) // one-byte uvarint 0 per bucket
+	for i := 0; i < buckets/len(zeros); i++ {
+		zw.Write(zeros)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMismatchedGeometryRejectedFromHeader: once a shard's geometry is
+// established, an upload whose header disagrees is a 409 decided from
+// the header alone. The body here would inflate to 2^24 counts (64 MiB
+// decoded); rejecting it must take neither the time nor the memory of
+// decoding it.
+func TestMismatchedGeometryRejectedFromHeader(t *testing.T) {
+	_, imageBytes := sortImage(t)
+	_, ts := newTestServer(t, Config{})
+	fp := registerExe(t, ts, imageBytes)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, sortProfile(t, 1), gmon.Version2, false)), http.StatusAccepted)
+
+	body := mismatchedGeometryUpload(t)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	out := mustStatus(t, ingest(t, ts, fp, body), http.StatusConflict)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !bytes.Contains(out, []byte("geometry")) {
+		t.Errorf("409 body does not explain the mismatch: %s", out)
+	}
+	// On a 2-vCPU host the header-first check answers in about a
+	// millisecond with under 100 KiB allocated; a full decode takes a
+	// quarter second and over 100 MiB.
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("409 took %v; the header alone decides it", elapsed)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("rejecting the upload allocated %d bytes; decoding its counts would take %d", alloc, 4<<24)
 	}
 }

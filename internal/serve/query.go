@@ -122,7 +122,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*analysisEn
 // runOptions is the server's fixed analysis configuration; its
 // CacheKey is precomputed in New.
 func (s *Server) runOptions() core.Options {
-	return core.Options{Jobs: s.cfg.Jobs, Cache: s.cache}
+	return core.Options{Cache: s.cache}
 }
 
 // analyzed returns the (possibly cached) analysis of the selected

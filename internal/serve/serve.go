@@ -38,7 +38,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,9 +73,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxShards bounds the number of registered fingerprints.
 	MaxShards int
-	// Jobs is the analysis worker width queries pass to core.Run.
-	// Zero means GOMAXPROCS.
-	Jobs int
 	// QueryCache bounds the analysis-memoization LRU: finished
 	// core.Run results (with their rendered flat/callgraph/JSON
 	// bodies) and raw-merge encodings, keyed by (fingerprint, window
@@ -123,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryCache <= 0 {
 		c.QueryCache = DefaultQueryCache
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = runtime.GOMAXPROCS(0)
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -376,6 +376,39 @@ func TestGeometryConflict(t *testing.T) {
 	}
 }
 
+// TestPermutedUploadsMatchOfflineMerge: uploads whose arc records
+// repeat a (FromPC, SelfPC) key, within one upload and across uploads,
+// fold to the same /v1/gmon bytes in every arrival order, and those
+// bytes are an offline gmon.MergeAll of the uploads with no further
+// normalization.
+func TestPermutedUploadsMatchOfflineMerge(t *testing.T) {
+	_, imageBytes := sortImage(t)
+	mk := func(arcs ...gmon.Arc) *gmon.Profile {
+		return &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 32, Step: 1, Counts: make([]uint32, 32)}, Hz: 60, Arcs: arcs}
+	}
+	uploads := []*gmon.Profile{
+		mk(gmon.Arc{FromPC: 8, SelfPC: 16, Count: 1}, gmon.Arc{FromPC: 8, SelfPC: 16, Count: 2}),
+		mk(gmon.Arc{FromPC: 4, SelfPC: 16, Count: 3}),
+		mk(gmon.Arc{FromPC: 8, SelfPC: 16, Count: 5}),
+	}
+	want, err := gmon.MergeAll(context.Background(), uploads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantV2 := encodeProfile(t, want, gmon.Version2, false)
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		_, ts := newTestServer(t, Config{})
+		fp := registerExe(t, ts, imageBytes)
+		for _, i := range order {
+			mustStatus(t, ingest(t, ts, fp, encodeProfile(t, uploads[i], gmon.Version1, false)), http.StatusAccepted)
+		}
+		got := mustStatus(t, get(t, ts, "/v1/gmon?sync=1&v=2&fp="+fp), http.StatusOK)
+		if !bytes.Equal(got, wantV2) {
+			t.Errorf("order %v: /v1/gmon (%d bytes) differs from offline MergeAll (%d bytes)", order, len(got), len(wantV2))
+		}
+	}
+}
+
 // TestRequestErrors covers the 4xx surface: bad methods, missing and
 // unknown fingerprints, bad window selectors, and querying before any
 // upload.

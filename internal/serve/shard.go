@@ -216,21 +216,22 @@ func (s *shard) enqueue(p *gmon.Profile, now time.Time) error {
 	}
 }
 
-// checkGeometry reports whether an upload's histogram geometry and
-// clock rate match the shard's established ones, so mismatches fail
-// the request (409) instead of dying silently in the worker.
-func (s *shard) checkGeometry(p *gmon.Profile) error {
+// checkGeometry reports whether an upload's header (histogram geometry
+// and clock rate) matches the shard's established ones, so mismatches
+// fail the request (409) before its body is decoded instead of dying
+// silently in the worker.
+func (s *shard) checkGeometry(h gmon.Header) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.geomSet {
 		return nil
 	}
-	if s.geom.Low != p.Hist.Low || s.geom.High != p.Hist.High || s.geom.Step != p.Hist.Step {
+	if s.geom.Low != h.Low || s.geom.High != h.High || s.geom.Step != h.Step {
 		return fmt.Errorf("histogram geometry [%#x,%#x)/%d does not match this fingerprint's [%#x,%#x)/%d",
-			p.Hist.Low, p.Hist.High, p.Hist.Step, s.geom.Low, s.geom.High, s.geom.Step)
+			h.Low, h.High, h.Step, s.geom.Low, s.geom.High, s.geom.Step)
 	}
-	if p.ClockHz() != s.hz {
-		return fmt.Errorf("clock rate %d Hz does not match this fingerprint's %d Hz", p.ClockHz(), s.hz)
+	if h.Hz != s.hz { // the reader resolves a zero rate to DefaultHz
+		return fmt.Errorf("clock rate %d Hz does not match this fingerprint's %d Hz", h.Hz, s.hz)
 	}
 	return nil
 }

@@ -153,10 +153,11 @@ func TestAttributeEmptyHistogram(t *testing.T) {
 	}
 }
 
-// TestAttributeHistNMatchesSerial: sharded attribution reduces to the
-// serial result for every worker count, including shards that split a
-// routine's buckets and proportional boundary-straddling buckets.
-func TestAttributeHistNMatchesSerial(t *testing.T) {
+// TestAttributeHistIdxMatchesNamed: index-keyed attribution agrees
+// with its name-keyed projection and conserves ticks (attributed plus
+// lost equals the histogram total), including buckets that straddle
+// routine boundaries and gaps between routines.
+func TestAttributeHistIdxMatchesNamed(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var syms []object.Sym
 	addr := int64(0)
@@ -172,20 +173,20 @@ func TestAttributeHistNMatchesSerial(t *testing.T) {
 		for i := range h.Counts {
 			h.Counts[i] = uint32(rng.Intn(30))
 		}
-		want, wantLost := tab.AttributeHist(h)
-		for _, jobs := range []int{1, 2, 3, 8, 1000} {
-			got, gotLost := tab.AttributeHistN(h, jobs)
-			if len(got) != len(want) {
-				t.Fatalf("step=%d jobs=%d: %d routines attributed, want %d", step, jobs, len(got), len(want))
+		named, namedLost := tab.AttributeHist(h)
+		idx, lost := tab.AttributeHistIdx(h)
+		if lost != namedLost {
+			t.Errorf("step=%d: lost = %v, named projection lost %v", step, lost, namedLost)
+		}
+		sum := lost
+		for i, v := range idx {
+			if name := syms[i].Name; named[name] != v {
+				t.Errorf("step=%d: %s = %v, named projection %v", step, name, v, named[name])
 			}
-			for name, v := range want {
-				if d := v - got[name]; d > 1e-9 || d < -1e-9 {
-					t.Errorf("step=%d jobs=%d: %s = %v, want %v", step, jobs, name, got[name], v)
-				}
-			}
-			if d := gotLost - wantLost; d > 1e-9 || d < -1e-9 {
-				t.Errorf("step=%d jobs=%d: lost = %v, want %v", step, jobs, gotLost, wantLost)
-			}
+			sum += v
+		}
+		if d := sum - float64(h.TotalTicks()); d > 1e-9 || d < -1e-9 {
+			t.Errorf("step=%d: attributed+lost = %v, histogram total %d", step, sum, h.TotalTicks())
 		}
 	}
 }

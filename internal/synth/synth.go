@@ -16,8 +16,7 @@
 //
 // The histogram is emitted routine-aligned (Step = RoutineWords, one
 // bucket per routine), so tick attribution never splits a bucket and
-// the full analysis is exact — which is what lets tests demand
-// byte-identical model JSON across -jobs widths.
+// the full analysis is exact.
 package synth
 
 import (

@@ -3,12 +3,10 @@ package synth
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gmon"
-	"repro/internal/model"
 )
 
 // encode serializes a workload's profile in the given format version.
@@ -71,37 +69,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobsInvariance is the parallel pipeline's exactness contract at
-// scale: the fully analyzed model must encode to byte-identical JSON
-// whatever the worker width, cycles and recursion included.
-func TestJobsInvariance(t *testing.T) {
-	// The pipeline clamps worker pools to GOMAXPROCS; raise it so the
-	// parallel paths really run even on a 1-CPU host.
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	}
-	w := Generate(Tier(20000, 5))
-	src := core.TableSource{Table: w.Table()}
-	var want []byte
-	for _, jobs := range []int{1, 4, 13} {
-		res, err := core.Run(context.Background(), src, w.Prof, core.Options{Jobs: jobs})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		var buf bytes.Buffer
-		if err := model.Encode(&buf, res.Model); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("jobs=%d model JSON differs from jobs=1", jobs)
-		}
-	}
-}
-
 // TestDesignedShape verifies the generator delivers the graph features
 // it promises: the designed cycle groups survive as SCC cycles, the
 // graph is connected enough to analyze, and recursion exists.
@@ -109,7 +76,7 @@ func TestDesignedShape(t *testing.T) {
 	cfg := Tier(10000, 1)
 	w := Generate(cfg)
 	res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()},
-		w.Prof, core.Options{Jobs: 1})
+		w.Prof, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
