@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,128 @@ func TestAttributeHistIdxMatchesNamed(t *testing.T) {
 		}
 		if d := sum - float64(h.TotalTicks()); d > 1e-9 || d < -1e-9 {
 			t.Errorf("step=%d: attributed+lost = %v, histogram total %d", step, sum, h.TotalTicks())
+		}
+	}
+}
+
+// randomTable returns a non-overlapping table of n routines with random
+// sizes and gaps, some of them far wider than any routine, so routines
+// spread unevenly over the text range.
+func randomTable(rng *rand.Rand, n int) *Table {
+	syms := make([]object.Sym, n)
+	addr := int64(rng.Intn(100)) - 50
+	for i := range syms {
+		size := int64(rng.Intn(24) + 1)
+		syms[i] = object.Sym{Name: fmt.Sprintf("f%d", i), Addr: addr, Size: size}
+		addr += size
+		switch rng.Intn(6) {
+		case 0:
+			addr += int64(rng.Intn(4)) + 1
+		case 1:
+			addr += int64(rng.Intn(5000)) + 64
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { syms[i], syms[j] = syms[j], syms[i] })
+	return FromSyms(syms)
+}
+
+// searchIndex is the plain binary search over routine ends that
+// FindIndex must agree with.
+func searchIndex(funcs []object.Sym, pc int64) (int, bool) {
+	i := sort.Search(len(funcs), func(i int) bool { return funcs[i].End() > pc })
+	if i < len(funcs) && funcs[i].Addr <= pc && pc < funcs[i].End() {
+		return i, true
+	}
+	return 0, false
+}
+
+// TestFindIndexMatchesSearch: at both edges of every routine, inside
+// gaps, and outside the text range, FindIndex and Find agree with a
+// binary search of the sorted routine ends.
+func TestFindIndexMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 300; iter++ {
+		n := rng.Intn(200)
+		if iter < 3 {
+			n = iter // empty, single-routine and two-routine tables
+		}
+		tab := randomTable(rng, n)
+		funcs := tab.Syms()
+		pcs := []int64{math.MinInt64, -1, 0, math.MaxInt64}
+		for _, s := range funcs {
+			pcs = append(pcs, s.Addr-1, s.Addr, s.End()-1, s.End(), s.Addr+s.Size/2)
+		}
+		if n > 0 {
+			lo, hi := funcs[0].Addr, funcs[n-1].End()
+			for i := 0; i < 50; i++ {
+				pcs = append(pcs, lo-1-rng.Int63n(1000), hi+rng.Int63n(1000), lo+rng.Int63n(hi-lo))
+			}
+		}
+		for _, pc := range pcs {
+			wi, wok := searchIndex(funcs, pc)
+			gi, gok := tab.FindIndex(pc)
+			if gi != wi || gok != wok {
+				t.Fatalf("iter %d (n=%d): FindIndex(%d) = %d,%v, want %d,%v", iter, n, pc, gi, gok, wi, wok)
+			}
+			s, ok := tab.Find(pc)
+			if ok != wok || (ok && s.Addr != funcs[wi].Addr) {
+				t.Fatalf("iter %d: Find(%d) = %+v,%v, want index %d,%v", iter, pc, s, ok, wi, wok)
+			}
+		}
+	}
+}
+
+// TestAttributeHistIdxMatchesScan: attribution is bit-identical to a
+// reference that scans every routine for each bucket, over tables with
+// uneven gaps and histograms that start below and end above the text.
+func TestAttributeHistIdxMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for iter := 0; iter < 200; iter++ {
+		tab := randomTable(rng, rng.Intn(80))
+		funcs := tab.Syms()
+		lo, hi := int64(0), int64(64)
+		if len(funcs) > 0 {
+			lo, hi = funcs[0].Addr, funcs[len(funcs)-1].End()
+		}
+		step := int64(rng.Intn(9) + 1)
+		low := lo - int64(rng.Intn(40))
+		nb := int((hi+int64(rng.Intn(40))-low)/step) + 1
+		h := &gmon.Histogram{Low: low, High: low + int64(nb)*step, Step: step, Counts: make([]uint32, nb)}
+		for i := range h.Counts {
+			if rng.Intn(2) == 0 {
+				h.Counts[i] = uint32(rng.Intn(100))
+			}
+		}
+		want := make([]float64, len(funcs))
+		var wantLost float64
+		for i, n := range h.Counts {
+			if n == 0 {
+				continue
+			}
+			blo, bhi := h.BucketRange(i)
+			width := float64(bhi - blo)
+			covered := 0.0
+			for j, s := range funcs {
+				olo, ohi := max(blo, s.Addr), min(bhi, s.End())
+				if ohi <= olo {
+					continue
+				}
+				frac := float64(ohi-olo) / width
+				want[j] += float64(n) * frac
+				covered += frac
+			}
+			if covered < 1 {
+				wantLost += float64(n) * (1 - covered)
+			}
+		}
+		got, lost := tab.AttributeHistIdx(h)
+		if math.Float64bits(lost) != math.Float64bits(wantLost) {
+			t.Fatalf("iter %d: lost = %v, want %v", iter, lost, wantLost)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("iter %d: routine %d = %v, want %v", iter, j, got[j], want[j])
+			}
 		}
 	}
 }
