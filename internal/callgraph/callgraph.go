@@ -237,6 +237,17 @@ func (ar *arena[T]) reserve(n int) {
 	}
 }
 
+// allocN hands out n contiguous slots as a block of their own.
+func (ar *arena[T]) allocN(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	b := make([]T, n)
+	ar.blocks = append(ar.blocks, b)
+	ar.n += n
+	return b
+}
+
 // arcKey identifies an arc by its endpoint node IDs; the caller half is
 // biased by one so a spontaneous (nil) caller keys as zero.
 type arcKey uint64
@@ -255,10 +266,10 @@ type Graph struct {
 	order  []*Node // creation order: address order for image-built graphs
 	Cycles []*Cycle
 
-	// arcIdx maps endpoint pairs to their arc, so merging a repeated
-	// (caller, callee) pair is O(1) instead of a scan of the callee's
-	// incoming arcs — the difference between linear and quadratic graph
-	// construction on million-arc profiles.
+	// arcIdx maps endpoint pairs to their arc for the by-name mutators
+	// (AddArc, AddStatic, RemoveArc). It is nil until one of them first
+	// runs: BuildCtx merges arc records without it, so analysing a
+	// profile hashes no arc and the GC scans no pointer-bearing table.
 	arcIdx map[arcKey]*Arc
 
 	nodeArena arena[Node]
@@ -333,32 +344,43 @@ func (g *Graph) AddArc(caller, callee string, count int64) *Arc {
 	if caller != "" {
 		from = g.AddNode(caller)
 	}
-	return g.addArc(from, to, count)
-}
-
-// addArc is AddArc after name resolution: the index-based fast path
-// BuildCtx uses for every profile arc record.
-func (g *Graph) addArc(from, to *Node, count int64) *Arc {
+	idx := g.arcIndex()
 	k := arcKeyOf(from, to)
-	if a := g.arcIdx[k]; a != nil {
+	if a := idx[k]; a != nil {
 		a.Count += count
 		a.Sites++
 		return a
 	}
 	a := g.arcArena.alloc()
 	*a = Arc{Caller: from, Callee: to, Count: count, Sites: 1}
-	g.arcIdx[k] = a
-	to.In = append(to.In, a)
-	if from != nil {
-		from.Out = append(from.Out, a)
-	} else {
-		g.Spontaneous = append(g.Spontaneous, a)
-	}
+	idx[k] = a
+	g.link(a)
 	return a
 }
 
-func (g *Graph) findArc(from, to *Node) *Arc {
-	return g.arcIdx[arcKeyOf(from, to)]
+// link appends a new arc to its callee's In list and to its caller's
+// Out list, or to the spontaneous list when it has no caller.
+func (g *Graph) link(a *Arc) {
+	a.Callee.In = append(a.Callee.In, a)
+	if a.Caller != nil {
+		a.Caller.Out = append(a.Caller.Out, a)
+	} else {
+		g.Spontaneous = append(g.Spontaneous, a)
+	}
+}
+
+// arcIndex returns the endpoint-pair index, building it from the In
+// lists (which hold every arc exactly once) on first use.
+func (g *Graph) arcIndex() map[arcKey]*Arc {
+	if g.arcIdx == nil {
+		g.arcIdx = make(map[arcKey]*Arc, g.NumArcs())
+		for _, n := range g.order {
+			for _, a := range n.In {
+				g.arcIdx[arcKeyOf(a.Caller, a.Callee)] = a
+			}
+		}
+	}
+	return g.arcIdx
 }
 
 // Arcs returns every arc exactly once, ordered by (caller, callee) name
@@ -387,25 +409,7 @@ func arcCallerName(a *Arc) string {
 
 // New creates an empty graph.
 func New() *Graph {
-	return NewSized(0, 0)
-}
-
-// NewSized creates an empty graph with storage reserved for the given
-// node and arc counts: the node and arc arenas allocate one block each
-// and the lookup indices start at their final size. Callers that know
-// the scale up front (BuildCtx knows both exactly) construct the graph
-// without rehashing or slab growth.
-func NewSized(nodes, arcs int) *Graph {
-	g := &Graph{
-		nodes:  make(map[string]*Node, nodes),
-		arcIdx: make(map[arcKey]*Arc, arcs),
-	}
-	if nodes > 0 {
-		g.order = make([]*Node, 0, nodes)
-		g.nodeArena.reserve(nodes)
-	}
-	g.arcArena.reserve(arcs)
-	return g
+	return &Graph{nodes: make(map[string]*Node)}
 }
 
 // Build assembles the dynamic call graph for a profile against a symbol
@@ -424,110 +428,152 @@ func Build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 // BuildCtx is Build with cancellation. jobs is ignored; it remains so
 // existing callers keep compiling.
 //
-// The construction is index-based end to end: nodes are added in
-// symbol-table order (so Node.ID equals the symbol index), histogram
-// ticks come back as a slice indexed the same way, and each arc record
-// resolves its endpoint PCs to symbol indices once, so a million-arc
-// profile builds without a string lookup per record. When routine
-// names collide (two symbols share a name and collapse into one node)
-// the slower name-keyed path preserves the historic merge semantics.
+// Nodes are added in symbol-table order, so Node.ID equals the symbol
+// index unless two routines share a name: then the later routine maps
+// to the earlier one's node, and its ticks and arcs land there. Every
+// routine goes through one symbol→node slice, so histogram ticks (a
+// slice in symbol order, summed per node in that order) and arc
+// records (see linkArcs) resolve without a string lookup, colliding
+// names included.
 func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
 	tr := obs.FromContext(ctx)
-	g := NewSized(tab.Len(), len(p.Arcs))
-	g.Hz = p.ClockHz()
-	for _, s := range tab.Syms() {
-		g.AddNode(s.Name)
+	syms := tab.Syms()
+	g := &Graph{nodes: make(map[string]*Node, len(syms)), order: make([]*Node, 0, len(syms)), Hz: p.ClockHz()}
+	g.nodeArena.reserve(len(syms))
+	node := make([]int32, len(syms)) // symbol index -> node ID
+	for i, s := range syms {
+		node[i] = int32(g.AddNode(s.Name).ID)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	byIndex := g.Len() == tab.Len() // false only on duplicate routine names
 	endAttr := tr.Span("attribute")
-	if byIndex {
-		ticks, lost := tab.AttributeHistIdx(&p.Hist)
-		for i, t := range ticks {
-			if t != 0 {
-				g.order[i].SelfTicks = t
-			}
+	ticks, lost := tab.AttributeHistIdx(&p.Hist)
+	for i, t := range ticks {
+		if t != 0 {
+			g.order[node[i]].SelfTicks += t
 		}
-		g.LostTicks = lost
-	} else {
-		ticks, lost := tab.AttributeHist(&p.Hist)
-		for name, t := range ticks {
-			g.MustNode(name).SelfTicks = t
-		}
-		g.LostTicks = lost
 	}
+	g.LostTicks = lost
 	endAttr()
 	g.TotalTicks = float64(p.Hist.TotalTicks())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
-	if byIndex {
-		// Resolve every record to table indices first, then size each
-		// node's adjacency exactly before linking: one allocation per
-		// node side instead of an append-doubling chain per node,
-		// which at millions of arcs is the difference between
-		// memory-speed linking and GC churn. Merged duplicate records
-		// make the counts an upper bound; that only over-reserves.
-		type endpoints struct{ from, to int32 }
-		res := make([]endpoints, len(p.Arcs))
-		inDeg := make([]int32, g.Len())
-		outDeg := make([]int32, g.Len())
-		spont := 0
-		for i, rec := range p.Arcs {
-			calleeIdx, ok := tab.FindIndex(rec.SelfPC)
-			if !ok {
-				return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
-			}
-			fi := int32(-1)
-			if rec.FromPC >= 0 {
-				if ci, ok := tab.FindIndex(rec.FromPC); ok {
-					fi = int32(ci)
-					outDeg[ci]++
-				}
-			}
-			if fi < 0 {
-				spont++
-			}
-			res[i] = endpoints{from: fi, to: int32(calleeIdx)}
-			inDeg[calleeIdx]++
-		}
-		for i, n := range g.order {
-			if inDeg[i] > 0 {
-				n.In = make([]*Arc, 0, inDeg[i])
-			}
-			if outDeg[i] > 0 {
-				n.Out = make([]*Arc, 0, outDeg[i])
-			}
-		}
-		if spont > 0 && g.Spontaneous == nil {
-			g.Spontaneous = make([]*Arc, 0, spont)
-		}
-		for i, rec := range p.Arcs {
-			var from *Node
-			if res[i].from >= 0 {
-				from = g.order[res[i].from]
-			}
-			g.addArc(from, g.order[res[i].to], rec.Count)
-		}
-		return g, nil
-	}
-	for _, rec := range p.Arcs {
-		calleeIdx, ok := tab.FindIndex(rec.SelfPC)
-		if !ok {
-			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
-		}
-		var from *Node
-		if rec.FromPC >= 0 {
-			if ci, ok := tab.FindIndex(rec.FromPC); ok {
-				from = g.MustNode(tab.Syms()[ci].Name)
-			}
-		}
-		g.addArc(from, g.MustNode(tab.Syms()[calleeIdx].Name), rec.Count)
+	if err := g.linkArcs(tab, node, p.Arcs); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// linkArcs merges arc records into one arc per (caller, callee) node
+// pair, in linear time and without a hash table:
+//
+//  1. resolve each record's PCs to node IDs (caller -1 when
+//     spontaneous) and count the records per callee;
+//  2. counting-sort the record indices by callee, stably, so each
+//     callee's records stay in record order;
+//  3. walk each callee's records with a per-caller stamp, pointing every
+//     record at its pair's first record (its head) and counting each
+//     node's distinct arcs;
+//  4. in record order, create each pair's arc at its head and add every
+//     later record's Count and site into it.
+//
+// Arcs are therefore created in order of first occurrence, exactly as
+// merging the records one by one through AddArc would: every In, Out
+// and Spontaneous list keeps that order, and with it propagation's
+// float sums, the model's arc order and the listing's tie-breaks.
+func (g *Graph) linkArcs(tab *symtab.Table, node []int32, recs []gmon.Arc) error {
+	nn := len(g.order)
+	type ends struct{ from, to int32 }
+	res := make([]ends, len(recs))
+	off := make([]int32, nn+1) // off[v]..off[v+1]: callee v's records in byCallee
+	for r, rec := range recs {
+		ci, ok := tab.FindIndex(rec.SelfPC)
+		if !ok {
+			return fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
+		}
+		from := int32(-1)
+		if rec.FromPC >= 0 {
+			if fi, ok := tab.FindIndex(rec.FromPC); ok {
+				from = node[fi]
+			}
+		}
+		res[r] = ends{from: from, to: node[ci]}
+		off[node[ci]+1]++
+	}
+	for v := 0; v < nn; v++ {
+		off[v+1] += off[v]
+	}
+	fill := append([]int32(nil), off[:nn]...)
+	byCallee := make([]int32, len(recs))
+	for r, e := range res {
+		byCallee[fill[e.to]] = int32(r)
+		fill[e.to]++
+	}
+
+	// Callers are biased by one so slot 0 is the spontaneous caller.
+	// stamp[c] == v+1 while callee v's records are walked and caller c
+	// has been seen among them, with first[c] its pair's head.
+	stamp, first := make([]int32, nn+1), make([]int32, nn+1)
+	inDeg, outDeg := make([]int32, nn), make([]int32, nn)
+	head := make([]int32, len(recs))
+	arcs, spont := 0, 0
+	for v := 0; v < nn; v++ {
+		for _, r := range byCallee[off[v]:off[v+1]] {
+			c := res[r].from + 1
+			if stamp[c] != int32(v)+1 {
+				stamp[c], first[c] = int32(v)+1, r
+				arcs++
+				inDeg[v]++
+				if c == 0 {
+					spont++
+				} else {
+					outDeg[c-1]++
+				}
+			}
+			head[r] = first[c]
+		}
+	}
+
+	// Each node's lists are exact-capacity windows of two shared
+	// buffers: two allocations for the whole graph, and a later append
+	// (a static arc) reallocates only that node's list.
+	inBuf, outBuf := make([]*Arc, arcs), make([]*Arc, arcs-spont)
+	for v, n := range g.order {
+		if d := int(inDeg[v]); d > 0 {
+			n.In, inBuf = inBuf[:0:d], inBuf[d:]
+		}
+		if d := int(outDeg[v]); d > 0 {
+			n.Out, outBuf = outBuf[:0:d], outBuf[d:]
+		}
+	}
+	if spont > 0 {
+		g.Spontaneous = make([]*Arc, 0, spont)
+	}
+	// head[r] of a head record is rewritten to its arc's slab index as
+	// the record is passed, so a later record finds its arc at
+	// slab[head[head[r]]].
+	slab := g.arcArena.allocN(arcs)
+	k := int32(0)
+	for r, rec := range recs {
+		if h := head[r]; h != int32(r) {
+			a := &slab[head[h]]
+			a.Count += rec.Count
+			a.Sites++
+			continue
+		}
+		a := &slab[k]
+		*a = Arc{Callee: g.order[res[r].to], Count: rec.Count, Sites: 1}
+		if res[r].from >= 0 {
+			a.Caller = g.order[res[r].from]
+		}
+		g.link(a)
+		head[r] = k
+		k++
+	}
+	return nil
 }
 
 // AddStatic merges statically discovered arcs into the graph: an arc
@@ -537,10 +583,8 @@ func (g *Graph) AddStatic(arcs []object.StaticArc) {
 	for _, sa := range arcs {
 		from, okF := g.Node(sa.Caller)
 		to, okT := g.Node(sa.Callee)
-		if okF && okT {
-			if a := g.findArc(from, to); a != nil {
-				continue
-			}
+		if okF && okT && g.arcIndex()[arcKeyOf(from, to)] != nil {
+			continue
 		}
 		a := g.AddArc(sa.Caller, sa.Callee, 0)
 		a.Static = true
@@ -557,11 +601,13 @@ func (g *Graph) RemoveArc(caller, callee string) bool {
 	if !okF || !okT {
 		return false
 	}
-	a := g.findArc(from, to)
+	idx := g.arcIndex()
+	k := arcKeyOf(from, to)
+	a := idx[k]
 	if a == nil {
 		return false
 	}
-	delete(g.arcIdx, arcKeyOf(from, to))
+	delete(idx, k)
 	to.In = removeArc(to.In, a)
 	from.Out = removeArc(from.Out, a)
 	return true

@@ -17,8 +17,20 @@ import (
 )
 
 // Table is an address-sorted routine symbol table.
+//
+// It carries a bucket index over the text range [lo, hi): the range is
+// cut into 1<<shift-address buckets, at most two per routine, and
+// first[b] is the index of the first routine ending above bucket b's
+// start (first[nb] == len(funcs)). A PC in bucket b belongs to a
+// routine among first[b]..first[b+1], so a lookup is one array read
+// and a search of that short run instead of a binary search over the
+// whole table. The index is built once, in FromSyms, and never written
+// again, so a Table is safe to share between goroutines.
 type Table struct {
-	funcs []object.Sym
+	funcs  []object.Sym
+	lo, hi int64
+	shift  uint
+	first  []int32
 }
 
 // New builds a table from a linked image.
@@ -32,7 +44,62 @@ func New(im *object.Image) *Table {
 func FromSyms(syms []object.Sym) *Table {
 	t := &Table{funcs: append([]object.Sym(nil), syms...)}
 	sort.Slice(t.funcs, func(i, j int) bool { return t.funcs[i].Addr < t.funcs[j].Addr })
+	t.index()
 	return t
+}
+
+// index builds the bucket index. Routine ends ascend in a valid
+// (non-overlapping) table; on an invalid one, which Validate rejects,
+// lookups may miss but the build still terminates in linear time.
+func (t *Table) index() {
+	if len(t.funcs) == 0 {
+		return
+	}
+	t.lo, t.hi = t.funcs[0].Addr, t.funcs[0].End()
+	for _, s := range t.funcs {
+		t.hi = max(t.hi, s.End())
+	}
+	if t.hi <= t.lo {
+		return
+	}
+	span := uint64(t.hi) - uint64(t.lo)
+	for span>>t.shift > 2*uint64(len(t.funcs)) {
+		t.shift++
+	}
+	nb := (span-1)>>t.shift + 1
+	t.first = make([]int32, nb+1)
+	j := 0
+	for b := range t.first[:nb] {
+		start := uint64(b) << t.shift
+		for j < len(t.funcs) && uint64(t.funcs[j].End())-uint64(t.lo) <= start {
+			j++
+		}
+		t.first[b] = int32(j)
+	}
+	t.first[nb] = int32(len(t.funcs))
+}
+
+// above returns the index of the first routine ending above pc, or
+// Len() when none does: sort.Search over the routine ends, narrowed by
+// the bucket index to the routines that can end in pc's bucket.
+func (t *Table) above(pc int64) int {
+	if pc < t.lo {
+		return 0
+	}
+	if pc >= t.hi {
+		return len(t.funcs)
+	}
+	b := (uint64(pc) - uint64(t.lo)) >> t.shift
+	i, j := int(t.first[b]), int(t.first[b+1])
+	for i < j { // usually zero or one step; log n on a skewed table
+		h := int(uint(i+j) >> 1)
+		if t.funcs[h].End() > pc {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return i
 }
 
 // Validate reports overlapping or empty symbols.
@@ -77,9 +144,10 @@ func (t *Table) Find(pc int64) (object.Sym, bool) {
 // index is stable for the life of the table (addresses sort once, at
 // construction), so callers can key per-routine arrays on it instead
 // of on names — the call-graph builder resolves every arc record this
-// way.
+// way. The lookup goes through the bucket index: no map, no search
+// over the whole table.
 func (t *Table) FindIndex(pc int64) (int, bool) {
-	i := sort.Search(len(t.funcs), func(i int) bool { return t.funcs[i].End() > pc })
+	i := t.above(pc)
 	if i < len(t.funcs) && t.funcs[i].Addr <= pc && pc < t.funcs[i].End() {
 		return i, true
 	}
@@ -135,8 +203,7 @@ func (t *Table) AttributeHistIdx(h *gmon.Histogram) ([]float64, float64) {
 		}
 		covered := 0.0
 		// Routines overlapping [lo, hi).
-		j := sort.Search(len(t.funcs), func(k int) bool { return t.funcs[k].End() > lo })
-		for ; j < len(t.funcs) && t.funcs[j].Addr < hi; j++ {
+		for j := t.above(lo); j < len(t.funcs) && t.funcs[j].Addr < hi; j++ {
 			s := t.funcs[j]
 			olo, ohi := max64(lo, s.Addr), min64(hi, s.End())
 			if ohi <= olo {
