@@ -2,6 +2,9 @@ package gmon
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -66,9 +69,18 @@ func FuzzRead(f *testing.F) {
 	v2overflow = append(v2overflow, 0)                       // count[0]=0
 	v2overflow = append(v2overflow, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	f.Add(v2overflow)
+	// Gzip bombs: a few tens of KiB that inflate to 16 MiB of zero v2
+	// counts, or to 24 MiB of zero v1 arc records.
+	f.Add(gzipBomb(f, Version2, 1<<24, 0))
+	f.Add(gzipBomb(f, Version1, 0, 1<<20))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Read(bytes.NewReader(data))
+		// Decode under a cap, as gprofd does. An identity stream decodes
+		// to at most len(data) bytes, so only a gzip stream can hit it.
+		p, err := readCapped(data, int64(len(data))+fuzzDecodeCap)
+		if errors.Is(err, ErrTooLarge) && !bytes.HasPrefix(data, gzipMagic[:]) {
+			t.Fatalf("identity stream of %d bytes hit the decode cap: %v", len(data), err)
+		}
 		if err != nil {
 			return
 		}
@@ -143,4 +155,49 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("v2 round trip diverged:\n got %+v\nwant %+v", r, canon)
 		}
 	})
+}
+
+// fuzzDecodeCap bounds how far FuzzRead decodes past an input's own
+// length, so a gzip bomb costs a megabyte, not its inflated size.
+const fuzzDecodeCap = 1 << 20
+
+func readCapped(data []byte, limit int64) (*Profile, error) {
+	d, err := OpenReaderLimit(bytes.NewReader(data), limit)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	p := &Profile{}
+	if err := d.ReadProfile(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// gzipBomb is a gzipped profile of the given version whose histogram
+// has buckets zero counts over [0, buckets) and whose arcs records
+// are zero-filled 24-byte records (version 1 only).
+func gzipBomb(f *testing.F, version, buckets, arcs int) []byte {
+	hdr := append([]byte(nil), "GMON"...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(version))
+	for _, v := range []int64{60, 0, int64(buckets), 1} { // hz, low, high, step
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v))
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(buckets))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(arcs))
+	countBytes := buckets // one-byte uvarint zeros
+	if version == Version1 {
+		countBytes = 4 * buckets
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(hdr)
+	zeros := make([]byte, 1<<16)
+	for n := countBytes + 24*arcs; n > 0; n -= len(zeros) {
+		zw.Write(zeros[:min(n, len(zeros))])
+	}
+	if err := zw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -3,6 +3,7 @@ package gmon
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 
@@ -36,6 +37,19 @@ func Sniff(head []byte) bool {
 // Closing the returned Reader closes the gzip decompressor when one
 // was interposed; the caller still owns r itself.
 func OpenReader(r io.Reader) (*Reader, error) {
+	return OpenReaderLimit(r, 0)
+}
+
+// ErrTooLarge reports, wrapped, a stream whose payload decodes to more
+// bytes than the limit given to OpenReaderLimit.
+var ErrTooLarge = errors.New("gmon: decoded profile data exceeds the size limit")
+
+// OpenReaderLimit is OpenReader with the payload — the decompressed
+// bytes of a gzip stream, the stream itself otherwise — capped at
+// limit bytes (no cap when limit <= 0). Reading past the cap fails
+// with ErrTooLarge, so a small compressed upload cannot make the
+// decoder inflate and decode an unbounded body.
+func OpenReaderLimit(r io.Reader, limit int64) (*Reader, error) {
 	var head [2]byte
 	n, err := io.ReadFull(r, head[:])
 	if err != nil {
@@ -51,6 +65,9 @@ func OpenReader(r io.Reader) (*Reader, error) {
 		}
 		payload = unzip
 	}
+	if limit > 0 {
+		payload = &capReader{r: payload, n: limit}
+	}
 	d, err := NewReader(payload)
 	if err != nil {
 		if unzip != nil {
@@ -62,6 +79,28 @@ func OpenReader(r io.Reader) (*Reader, error) {
 		d.src = unzip
 	}
 	return d, nil
+}
+
+// capReader passes at most n more bytes through and fails with
+// ErrTooLarge once the stream holds more (http.MaxBytesReader's rule,
+// applied to the decoded payload).
+type capReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	if int64(len(p)) > c.n+1 {
+		p = p[:c.n+1]
+	}
+	n, err := c.r.Read(p)
+	if int64(n) <= c.n {
+		c.n -= int64(n)
+		return n, err
+	}
+	n = int(c.n)
+	c.n = 0
+	return n, ErrTooLarge
 }
 
 // OpenBytes is OpenReader for profile data already resident in memory

@@ -144,13 +144,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := &countReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 	badBody := func(err error) {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.As(err, &tooBig) || errors.Is(err, gmon.ErrTooLarge) {
 			s.fail(w, http.StatusRequestEntityTooLarge, "profile exceeds the %d-byte upload cap", s.cfg.MaxBodyBytes)
 			return
 		}
 		s.fail(w, http.StatusBadRequest, "bad profile data: %v", err)
 	}
-	d, err := gmon.OpenReader(body)
+	// The cap bounds the decoded stream as well as the wire bytes, so
+	// a gzip bomb stops decoding at MaxBodyBytes.
+	d, err := gmon.OpenReaderLimit(body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		badBody(err)
 		return

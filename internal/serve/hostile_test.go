@@ -29,17 +29,19 @@ func lyingCountBody() []byte {
 	return b
 }
 
-// v2OverflowBody is a v2 header whose arc varint runs past 64 bits.
-func v2OverflowBody() []byte {
+// v2OverflowBody is a v2 header whose arc varint runs past 64 bits,
+// over a one-bucket histogram at low (inside the executable's text, so
+// the geometry check passes and the body is decoded).
+func v2OverflowBody(low int64) []byte {
 	b := append([]byte(nil), []byte("GMON")...)
 	b = append(b, 2, 0, 0, 0)
 	b = append(b, 60, 0, 0, 0, 0, 0, 0, 0) // hz
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)  // low
-	b = append(b, 1, 0, 0, 0, 0, 0, 0, 0)  // high
-	b = append(b, 1, 0, 0, 0, 0, 0, 0, 0)  // step
-	b = append(b, 1, 0, 0, 0, 1, 0, 0, 0)  // nbkt=1 narc=1
-	b = append(b, 0)                       // count[0]=0
-	for i := 0; i < 11; i++ {              // 11-byte varint: > 64 bits
+	b = binary.LittleEndian.AppendUint64(b, uint64(low))
+	b = binary.LittleEndian.AppendUint64(b, uint64(low+1)) // high
+	b = append(b, 1, 0, 0, 0, 0, 0, 0, 0)                  // step
+	b = append(b, 1, 0, 0, 0, 1, 0, 0, 0)                  // nbkt=1 narc=1
+	b = append(b, 0)                                       // count[0]=0
+	for i := 0; i < 11; i++ {                              // 11-byte varint: > 64 bits
 		b = append(b, 0x80)
 	}
 	return b
@@ -48,7 +50,7 @@ func v2OverflowBody() []byte {
 // TestHostileUploads throws the adversarial corpus at /v1/ingest and
 // checks every body is rejected 4xx while the server stays healthy.
 func TestHostileUploads(t *testing.T) {
-	_, imageBytes := sortImage(t)
+	im, imageBytes := sortImage(t)
 	srv, ts := newTestServer(t, Config{})
 	fp := registerExe(t, ts, imageBytes)
 
@@ -73,7 +75,7 @@ func TestHostileUploads(t *testing.T) {
 		{"truncated header", good[:47]},
 		{"truncated mid-section", good[:len(good)/2]},
 		{"lying declared counts", lyingCountBody()},
-		{"v2 varint overflow", v2OverflowBody()},
+		{"v2 varint overflow", v2OverflowBody(im.TextBase)},
 		{"gzip magic, garbage stream", badGzip},
 		{"truncated gzip", truncGzip},
 	}
@@ -218,4 +220,105 @@ func TestMismatchedGeometryRejectedFromHeader(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 		t.Errorf("rejecting the upload allocated %d bytes; decoding its counts would take %d", alloc, 4<<24)
 	}
+}
+
+// TestFreshShardGeometryBoundedByImage: a shard adopts its first
+// upload's geometry, so before any upload the header must fit the
+// registered executable's text range. A lying first upload (the 2^24
+// buckets of mismatchedGeometryUpload, far past the sort program's
+// text) is refused from its header, within the same time and
+// allocation bounds as a mismatch against an established geometry, and
+// does not lock the executable's real uploads out.
+func TestFreshShardGeometryBoundedByImage(t *testing.T) {
+	im, imageBytes := sortImage(t)
+	_, ts := newTestServer(t, Config{})
+	fp := registerExe(t, ts, imageBytes)
+	if im.TextEnd() >= 1<<24 {
+		t.Fatalf("sort text [%#x,%#x) covers the hostile range", im.TextBase, im.TextEnd())
+	}
+
+	body := mismatchedGeometryUpload(t)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	out := mustStatus(t, ingest(t, ts, fp, body), http.StatusConflict)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !bytes.Contains(out, []byte("geometry")) {
+		t.Errorf("409 body does not explain the mismatch: %s", out)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("409 took %v; the header alone decides it", elapsed)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("rejecting the upload allocated %d bytes; decoding its counts would take %d", alloc, 4<<24)
+	}
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, sortProfile(t, 1), gmon.Version2, true)), http.StatusAccepted)
+}
+
+// gzipBomb is a gzipped version-1 upload with the given histogram
+// geometry and zero counts, declaring arcs zero-filled 24-byte arc
+// records: arcs×24 decoded bytes from roughly a thousandth as many on
+// the wire.
+func gzipBomb(t *testing.T, geom gmon.Histogram, hz int64, arcs int) []byte {
+	t.Helper()
+	hdr := append([]byte(nil), "GMON"...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, gmon.Version1)
+	for _, v := range []int64{hz, geom.Low, geom.High, geom.Step} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(v))
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(geom.NumBuckets()))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(arcs))
+	hdr = append(hdr, make([]byte, 4*geom.NumBuckets())...) // zero counts
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(hdr)
+	zeros := make([]byte, 24<<10)
+	for i := 0; i < arcs/1024; i++ {
+		zw.Write(zeros)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGzipBombRejected: an upload whose header matches the shard's
+// geometry but whose gzip body inflates far past the upload cap is a
+// 413 once the decoded stream crosses the cap, not a full decode. The
+// bomb here is ~100 KiB on the wire and 96 MiB decoded, against a
+// 1 MiB cap.
+func TestGzipBombRejected(t *testing.T) {
+	_, imageBytes := sortImage(t)
+	const limit = 1 << 20
+	_, ts := newTestServer(t, Config{MaxBodyBytes: limit})
+	fp := registerExe(t, ts, imageBytes)
+	real := sortProfile(t, 1)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, real, gmon.Version1, true)), http.StatusAccepted)
+
+	body := gzipBomb(t, real.Hist, real.ClockHz(), 1<<22)
+	if len(body) >= limit {
+		t.Fatalf("bomb is %d bytes on the wire; the wire cap alone would stop it", len(body))
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	out := mustStatus(t, ingest(t, ts, fp, body), http.StatusRequestEntityTooLarge)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !bytes.Contains(out, []byte("cap")) {
+		t.Errorf("413 body does not name the cap: %s", out)
+	}
+	// On a 2-vCPU host the capped decode answers in about 4 ms with
+	// about 3 MiB allocated; a full decode needs 96 MiB for the arc
+	// records alone.
+	if elapsed > 250*time.Millisecond {
+		t.Errorf("413 took %v; decoding should stop at the %d-byte cap", elapsed, limit)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("rejecting the bomb allocated %d bytes", alloc)
+	}
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, sortProfile(t, 2), gmon.Version1, true)), http.StatusAccepted)
 }

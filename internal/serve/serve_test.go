@@ -363,12 +363,13 @@ func TestBackpressure(t *testing.T) {
 // TestGeometryConflict checks an upload whose histogram geometry
 // contradicts the fingerprint's established one is rejected with 409.
 func TestGeometryConflict(t *testing.T) {
-	_, imageBytes := sortImage(t)
+	im, imageBytes := sortImage(t)
 	_, ts := newTestServer(t, Config{})
 	fp := registerExe(t, ts, imageBytes)
 
-	a := &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 16, Step: 1, Counts: make([]uint32, 16)}}
-	b := &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 32, Step: 1, Counts: make([]uint32, 32)}}
+	lo := im.TextBase
+	a := &gmon.Profile{Hist: gmon.Histogram{Low: lo, High: lo + 16, Step: 1, Counts: make([]uint32, 16)}}
+	b := &gmon.Profile{Hist: gmon.Histogram{Low: lo, High: lo + 32, Step: 1, Counts: make([]uint32, 32)}}
 	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, a, gmon.Version1, false)), http.StatusAccepted)
 	out := mustStatus(t, ingest(t, ts, fp, encodeProfile(t, b, gmon.Version1, false)), http.StatusConflict)
 	if !bytes.Contains(out, []byte("geometry")) {
@@ -382,9 +383,10 @@ func TestGeometryConflict(t *testing.T) {
 // bytes are an offline gmon.MergeAll of the uploads with no further
 // normalization.
 func TestPermutedUploadsMatchOfflineMerge(t *testing.T) {
-	_, imageBytes := sortImage(t)
+	im, imageBytes := sortImage(t)
 	mk := func(arcs ...gmon.Arc) *gmon.Profile {
-		return &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 32, Step: 1, Counts: make([]uint32, 32)}, Hz: 60, Arcs: arcs}
+		lo := im.TextBase
+		return &gmon.Profile{Hist: gmon.Histogram{Low: lo, High: lo + 32, Step: 1, Counts: make([]uint32, 32)}, Hz: 60, Arcs: arcs}
 	}
 	uploads := []*gmon.Profile{
 		mk(gmon.Arc{FromPC: 8, SelfPC: 16, Count: 1}, gmon.Arc{FromPC: 8, SelfPC: 16, Count: 2}),

@@ -54,15 +54,15 @@ const snapCacheEntries = 8
 // are shared read-only with callers; copy-on-write in merge keeps a
 // concurrent fold from ever mutating one.
 type shard struct {
-	fp     string
-	im     *object.Image
-	window int64 // window width, seconds
-	retain int
-	queue  chan ingestItem
-	done   chan struct{}
-	tr     *obs.Trace
-	depth  *obs.Gauge          // high-water queue depth
-	snaps  *core.LRU           // resolved selection -> *gmon.Profile (read-only)
+	fp       string
+	im       *object.Image
+	window   int64 // window width, seconds
+	retain   int
+	queue    chan ingestItem
+	done     chan struct{}
+	tr       *obs.Trace
+	depth    *obs.Gauge          // high-water queue depth
+	snaps    *core.LRU           // resolved selection -> *gmon.Profile (read-only)
 	rec      *obs.FlightRecorder // fold spans for /debug/flightrec (nil-safe)
 	foldName string              // precomputed flight-span label
 	// /metrics histograms, shared across shards (nil when the shard is
@@ -85,15 +85,15 @@ type shard struct {
 
 func newShard(fp string, im *object.Image, cfg Config, tr *obs.Trace, m *serverMetrics, rec *obs.FlightRecorder) *shard {
 	s := &shard{
-		fp:      fp,
-		im:      im,
-		window:  int64(cfg.Window / time.Second),
-		retain:  cfg.Retain,
-		queue:   make(chan ingestItem, cfg.QueueDepth),
-		done:    make(chan struct{}),
-		tr:      tr,
-		depth:   tr.Gauge("serve.queue_high_water"),
-		snaps:   core.NewLRU(snapCacheEntries),
+		fp:       fp,
+		im:       im,
+		window:   int64(cfg.Window / time.Second),
+		retain:   cfg.Retain,
+		queue:    make(chan ingestItem, cfg.QueueDepth),
+		done:     make(chan struct{}),
+		tr:       tr,
+		depth:    tr.Gauge("serve.queue_high_water"),
+		snaps:    core.NewLRU(snapCacheEntries),
 		rec:      rec,
 		foldName: "fold " + fp,
 		windows:  make(map[int64]*window),
@@ -219,11 +219,18 @@ func (s *shard) enqueue(p *gmon.Profile, now time.Time) error {
 // checkGeometry reports whether an upload's header (histogram geometry
 // and clock rate) matches the shard's established ones, so mismatches
 // fail the request (409) before its body is decoded instead of dying
-// silently in the worker.
+// silently in the worker. Before the first upload sets them, the
+// histogram must lie inside the registered executable's text range,
+// which every producer samples: otherwise a lying first header could
+// buy a huge decode and lock out every real upload.
 func (s *shard) checkGeometry(h gmon.Header) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.geomSet {
+		if h.Low < s.im.TextBase || h.High > s.im.TextEnd() {
+			return fmt.Errorf("histogram geometry [%#x,%#x) lies outside the executable's text [%#x,%#x)",
+				h.Low, h.High, s.im.TextBase, s.im.TextEnd())
+		}
 		return nil
 	}
 	if s.geom.Low != h.Low || s.geom.High != h.High || s.geom.Step != h.Step {
