@@ -3,6 +3,11 @@
 check:
 	go build ./... && go test ./...
 
+# Formatting gate: every Go file is gofmt-clean.
+.PHONY: fmt-check
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # Tier-1.5: static analysis plus the race detector over the code that
 # is shared between goroutines (gprofd's shards, caches and metrics,
 # the static-layer cache, the observability recorders).
