@@ -9,10 +9,11 @@
 //
 // The ingestion hot path is built to survive thousands of agents:
 //
-//   - every upload decodes through gmon.OpenReader, whose
+//   - every upload decodes through gmon.OpenReaderLimit, whose
 //     declared-count contract and chunked growth mean a lying header
-//     cannot drive a large allocation, under an http.MaxBytesReader
-//     body cap;
+//     cannot drive a large allocation, under one body cap that bounds
+//     both the wire bytes (http.MaxBytesReader) and the decoded
+//     payload, so a gzip bomb stops at the cap;
 //   - each fingerprint owns a shard: one merge-worker goroutine and a
 //     bounded queue of decoded profiles, so merging never blocks the
 //     HTTP handler and memory is bounded by queue depth × body cap;
@@ -69,7 +70,8 @@ type Config struct {
 	// queue turns uploads into 429 + Retry-After.
 	QueueDepth int
 	// MaxBodyBytes caps every upload body (profile data and
-	// executables alike) via http.MaxBytesReader.
+	// executables alike) via http.MaxBytesReader, and the decoded
+	// payload of a compressed profile upload.
 	MaxBodyBytes int64
 	// MaxShards bounds the number of registered fingerprints.
 	MaxShards int

@@ -80,8 +80,8 @@ func (t *Table) index() {
 }
 
 // above returns the index of the first routine ending above pc, or
-// Len() when none does: sort.Search over the routine ends, narrowed by
-// the bucket index to the routines that can end in pc's bucket.
+// Len() when none does. It bisects only the routines the bucket index
+// says can end in pc's bucket.
 func (t *Table) above(pc int64) int {
 	if pc < t.lo {
 		return 0
